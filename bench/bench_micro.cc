@@ -12,7 +12,6 @@
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
-#include "index/summary_index.h"
 #include "workload/dblp_generator.h"
 #include "workload/synthetic_generator.h"
 
@@ -99,19 +98,6 @@ void BM_ApexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ApexBuild)->Arg(2000)->Arg(8000);
-
-void BM_FbSummaryBuild(benchmark::State& state) {
-  std::vector<NodeId> nodes;
-  for (NodeId v = 0; v < static_cast<NodeId>(state.range(0)); ++v) {
-    nodes.push_back(v);
-  }
-  const graph::Digraph g = DblpGraph().InducedSubgraph(nodes);
-  for (auto _ : state) {
-    auto index = index::SummaryIndex::BuildFb(g);
-    benchmark::DoNotOptimize(index);
-  }
-}
-BENCHMARK(BM_FbSummaryBuild)->Arg(2000);
 
 void BM_HopiDistanceQuery(benchmark::State& state) {
   static const auto index = index::HopiIndex::Build(DblpGraph());

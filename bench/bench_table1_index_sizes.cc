@@ -15,7 +15,7 @@
 #include <map>
 
 #include "common/bytes.h"
-#include "index/transitive_closure.h"
+#include "graph/traversal.h"
 
 int main(int argc, char** argv) {
   using namespace flix;
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   // Transitive closure reference ("HOPI an order of magnitude more compact
   // than the transitive closure", Section 6 / [18]).
   const graph::Digraph g = collection.BuildGraph();
-  const size_t tc_pairs = index::CountClosurePairs(g);
-  const size_t tc_bytes = tc_pairs * sizeof(index::NodeDist);
+  const size_t tc_pairs = graph::CountClosurePairs(g);
+  const size_t tc_bytes = tc_pairs * sizeof(graph::NodeDist);
   std::printf("%-12s %14s   (%zu reachable pairs)\n", "TC",
               FormatBytes(tc_bytes).c_str(), tc_pairs);
 

@@ -16,7 +16,6 @@
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
-#include "index/summary_index.h"
 #include "index/transitive_closure.h"
 
 namespace flix::index {
@@ -72,21 +71,6 @@ struct CorruptionHook {
     home.erase(std::find(home.begin(), home.end(), v));
     index.extents_.Row(to_block).push_back(v);
     return true;
-  }
-
-  // Summary: clears the lowest set bit of the first non-zero forward
-  // pruning word — the pruned traversals would silently drop every result
-  // carrying that tag.
-  static bool ClearSummaryPruningBit(SummaryIndex& index) {
-    for (auto& row : index.forward_tags_.OwnedRows()) {
-      for (uint64_t& word : row) {
-        if (word != 0) {
-          word &= word - 1;
-          return true;
-        }
-      }
-    }
-    return false;
   }
 };
 

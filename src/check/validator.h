@@ -12,8 +12,8 @@
 //     link_targets / entry_origins, sorted and deduplicated;
 //   * per-strategy structural invariants — each meta document's PathIndex is
 //     run through its Validate() override (PPO interval nesting, HOPI label
-//     consistency, APEX/summary extent partitioning, TC row = BFS closure)
-//     plus the sampled differential probes of the base class.
+//     consistency, APEX extent partitioning, TC row = BFS closure) plus the
+//     sampled differential probes of the base class.
 //
 // Unlike PathIndex::Validate (first violation only), the framework walk
 // collects every violation it finds, so one `flixctl check` run reports all

@@ -21,8 +21,8 @@ namespace {
 using index::StrategyKind;
 
 bool Eligible(StrategyKind kind) {
-  // TC and the structure summaries are experiment baselines the Index
-  // Builder never emits; leave a partition carrying one alone.
+  // TC is an experiment baseline the Index Builder never emits; leave a
+  // partition carrying one alone.
   return kind == StrategyKind::kPpo || kind == StrategyKind::kHopi ||
          kind == StrategyKind::kApex;
 }
@@ -122,7 +122,6 @@ const StrategyCosts& CostModel::For(StrategyKind kind) const {
     case StrategyKind::kApex: return apex;
     case StrategyKind::kHopi:
     case StrategyKind::kTransitiveClosure:
-    case StrategyKind::kSummary:
       break;
   }
   return hopi;

@@ -102,7 +102,6 @@ StatusOr<std::unique_ptr<Flix>> Flix::Build(const xml::Collection& collection,
       case index::StrategyKind::kHopi: ++out.num_hopi; break;
       case index::StrategyKind::kApex: ++out.num_apex; break;
       case index::StrategyKind::kTransitiveClosure: break;
-      case index::StrategyKind::kSummary: break;
     }
   }
   out.build_ms = watch.ElapsedMillis();
@@ -294,7 +293,6 @@ void Flix::FinishLoadedInstance(uint64_t load_ns) {
       case index::StrategyKind::kHopi: ++stats_.num_hopi; break;
       case index::StrategyKind::kApex: ++stats_.num_apex; break;
       case index::StrategyKind::kTransitiveClosure: break;
-      case index::StrategyKind::kSummary: break;
     }
   }
   stats_.build_ms = static_cast<double>(load_ns) / 1e6;  // load, not build

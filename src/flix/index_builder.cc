@@ -20,13 +20,13 @@ obs::Histogram& StrategyBuildHistogram(index::StrategyKind kind) {
   switch (kind) {
     case index::StrategyKind::kPpo:
       return reg.GetHistogram(obs::names::kBuildIbPpoNs);
-    case index::StrategyKind::kHopi:
-      return reg.GetHistogram(obs::names::kBuildIbHopiNs);
     case index::StrategyKind::kApex:
       return reg.GetHistogram(obs::names::kBuildIbApexNs);
-    default:
-      return reg.GetHistogram(obs::names::kBuildIbOtherNs);
+    case index::StrategyKind::kHopi:
+    case index::StrategyKind::kTransitiveClosure:  // BuildIndexes rejects it
+      break;
   }
+  return reg.GetHistogram(obs::names::kBuildIbHopiNs);
 }
 
 }  // namespace
@@ -81,10 +81,9 @@ StatusOr<std::vector<MetaIndexStats>> BuildIndexes(
         meta.index = index::ApexIndex::Build(meta.graph);
         break;
       case index::StrategyKind::kTransitiveClosure:
-      case index::StrategyKind::kSummary:
         return InvalidArgumentError(
             std::string(index::StrategyName(kind)) +
-            " is a baseline/extension, not an ISS choice");
+            " is a baseline, not an ISS choice");
     }
     if (ib_span.Collecting()) {
       ib_span.AddAttr("strategy", index::StrategyName(kind));

@@ -55,6 +55,30 @@ Distance BfsDistance(const Digraph& g, NodeId source, NodeId target,
   return kUnreachable;
 }
 
+size_t CountClosurePairs(const Digraph& g) {
+  const size_t n = g.NumNodes();
+  size_t pairs = 0;
+  std::vector<uint32_t> stamp(n, UINT32_MAX);
+  std::deque<NodeId> queue;
+  for (NodeId source = 0; source < n; ++source) {
+    stamp[source] = source;
+    queue.clear();
+    queue.push_back(source);
+    while (!queue.empty()) {
+      const NodeId u = queue.front();
+      queue.pop_front();
+      for (const Digraph::Arc& arc : g.OutArcs(u)) {
+        if (stamp[arc.target] != source) {
+          stamp[arc.target] = source;
+          ++pairs;
+          queue.push_back(arc.target);
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
 BfsFrontier::BfsFrontier(const Digraph& g, NodeId source, Direction dir,
                          ExpandFilter filter)
     : g_(g), dir_(dir), filter_(std::move(filter)) {

@@ -32,11 +32,16 @@ Distance BfsDistance(const Digraph& g, NodeId source, NodeId target,
                      Direction dir = Direction::kForward,
                      Distance max_depth = -1);
 
+// Size of the transitive closure without materializing it: the number of
+// (u, v) pairs with u != v and v reachable from u, counted by one BFS per
+// node. Table 1 reports it as the reference HOPI is compared against.
+size_t CountClosurePairs(const Digraph& g);
+
 // Resumable breadth-first frontier generator: yields the node set of one
 // depth level per NextLevel() call, so a caller interested only in the
 // nearest matches never pays for traversing the rest of the graph. Backs the
-// lazy descendant/ancestor cursors of the traversal-based path indexes
-// (APEX, structure summaries).
+// lazy descendant/ancestor cursors of the traversal-based path index
+// (APEX).
 //
 // An optional expand filter implements summary pruning: a node for which the
 // filter returns false is neither reported nor expanded (the source is

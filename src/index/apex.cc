@@ -37,8 +37,9 @@ size_t TagUniverse(const graph::Digraph& g) {
   return any ? static_cast<size_t>(max_tag) + 1 : 0;
 }
 
-// Segment array ids (kIndex segment, strategy = kApex). The summary graph's
-// arrays start at kSummaryBase (graph::Digraph::AppendArrays convention).
+// Segment array ids (kIndex segment, strategy = kApex). The summary (block)
+// graph's arrays start at kBlockGraphBase (graph::Digraph::AppendArrays
+// convention).
 constexpr uint32_t kBlockOfArray = 1;
 constexpr uint32_t kExtentOffsets = 2;
 constexpr uint32_t kExtentFlat = 3;
@@ -47,7 +48,7 @@ constexpr uint32_t kReachTagsFlat = 5;
 constexpr uint32_t kBlockClosureOffsets = 6;
 constexpr uint32_t kBlockClosureFlat = 7;
 constexpr uint32_t kApexParams = 8;  // [tag_words, have_block_closure]
-constexpr uint32_t kSummaryBase = 10;
+constexpr uint32_t kBlockGraphBase = 10;
 
 }  // namespace
 
@@ -366,7 +367,7 @@ void ApexIndex::SaveSegment(storage::SegmentWriter& seg) const {
       static_cast<uint64_t>(tag_words_),
       have_block_closure_ ? uint64_t{1} : uint64_t{0}};
   seg.Add(kApexParams, params);
-  summary_.AppendArrays(seg, kSummaryBase);
+  summary_.AppendArrays(seg, kBlockGraphBase);
 }
 
 StatusOr<std::unique_ptr<ApexIndex>> ApexIndex::LoadSegment(
@@ -392,7 +393,7 @@ StatusOr<std::unique_ptr<ApexIndex>> ApexIndex::LoadSegment(
   auto reach_tags = storage::FlatRows<uint64_t>::FromView(tags_offsets.value(),
                                                           tags_flat.value());
   if (!reach_tags.ok()) return reach_tags.status();
-  auto summary = graph::Digraph::FromSegment(view, kSummaryBase);
+  auto summary = graph::Digraph::FromSegment(view, kBlockGraphBase);
   if (!summary.ok()) return summary.status();
 
   auto index = std::unique_ptr<ApexIndex>(new ApexIndex(g));

@@ -8,7 +8,6 @@
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
-#include "index/summary_index.h"
 #include "index/transitive_closure.h"
 
 namespace flix::index {
@@ -19,7 +18,6 @@ std::string_view StrategyName(StrategyKind kind) {
     case StrategyKind::kHopi: return "HOPI";
     case StrategyKind::kApex: return "APEX";
     case StrategyKind::kTransitiveClosure: return "TC";
-    case StrategyKind::kSummary: return "SUMMARY";
   }
   return "UNKNOWN";
 }
@@ -143,9 +141,6 @@ void SaveIndex(const PathIndex& index, BinaryWriter& writer) {
     case StrategyKind::kTransitiveClosure:
       static_cast<const TransitiveClosureIndex&>(index).Save(writer);
       break;
-    case StrategyKind::kSummary:
-      static_cast<const SummaryIndex&>(index).Save(writer);
-      break;
   }
 }
 
@@ -174,11 +169,6 @@ StatusOr<std::unique_ptr<PathIndex>> LoadIndex(BinaryReader& reader,
       if (!loaded.ok()) return loaded.status();
       return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
     }
-    case StrategyKind::kSummary: {
-      auto loaded = SummaryIndex::Load(reader, graph);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
   }
   return InvalidArgumentError("unknown index strategy kind " +
                               std::to_string(kind));
@@ -197,9 +187,6 @@ void SaveIndexSegment(const PathIndex& index, storage::SegmentWriter& seg) {
       break;
     case StrategyKind::kTransitiveClosure:
       static_cast<const TransitiveClosureIndex&>(index).SaveSegment(seg);
-      break;
-    case StrategyKind::kSummary:
-      static_cast<const SummaryIndex&>(index).SaveSegment(seg);
       break;
   }
 }
@@ -225,11 +212,6 @@ StatusOr<std::unique_ptr<PathIndex>> LoadIndexSegment(
     }
     case StrategyKind::kTransitiveClosure: {
       auto loaded = TransitiveClosureIndex::LoadSegment(view);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-    case StrategyKind::kSummary: {
-      auto loaded = SummaryIndex::LoadSegment(view, graph);
       if (!loaded.ok()) return loaded.status();
       return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
     }

@@ -59,13 +59,15 @@ struct ValidateOptions {
 };
 
 // Identifies a concrete strategy, used by the Indexing Strategy Selector.
+// The values are persisted in both index formats: never renumber them, and
+// do not reuse 4 (older builds wrote it for the structure summaries, since
+// removed; loaders reject it like any other unknown kind).
 enum class StrategyKind {
-  kPpo,
-  kHopi,
-  kApex,
-  kTransitiveClosure,
-  // Generalized structure summary (F&B / D(k), see summary_index.h).
-  kSummary,
+  kPpo = 0,
+  kHopi = 1,
+  kApex = 2,
+  // Materialized closure: the Table 1 size baseline, never an ISS choice.
+  kTransitiveClosure = 3,
 };
 
 std::string_view StrategyName(StrategyKind kind);
@@ -123,8 +125,8 @@ class MaterializedCursor : public NodeDistCursor {
 // level at a time from a graph::BfsFrontier. A level's depth is the exact
 // distance, so the canonical (distance, node) order falls out for free, and
 // an early-closed cursor never traverses the remaining levels — this is
-// what makes top-k cheap for the traversal-backed strategies (APEX,
-// structure summaries), which wrap it with their summary-pruning filter.
+// what makes top-k cheap for the traversal-backed strategy (APEX), which
+// wraps it with its summary-pruning filter.
 class FrontierCursor : public NodeDistCursor {
  public:
   // `wanted`, when set, restricts results to that node set (the Among
@@ -233,7 +235,7 @@ class PathIndex {
   // (from, to) distance probes and sampled enumeration diffs (cursor drain
   // vs bulk vector vs a naive BFS oracle) — sound for any strategy.
   // Strategies override to verify their structural invariants first (PPO
-  // interval nesting, HOPI label/inverted-list consistency, extent
+  // interval nesting, HOPI label/inverted-list consistency, APEX extent
   // partitioning, TC row = BFS closure) and then run the base diff, so a
   // violation is reported at the structure that broke, not at a distant
   // query. Returns the first violation found, with a pinpointing message.

@@ -392,28 +392,4 @@ size_t TransitiveClosureIndex::NumPairs() const {
   return closure_.TotalEntries();
 }
 
-size_t CountClosurePairs(const graph::Digraph& g) {
-  const size_t n = g.NumNodes();
-  size_t pairs = 0;
-  std::vector<uint32_t> stamp(n, UINT32_MAX);
-  std::deque<NodeId> queue;
-  for (NodeId source = 0; source < n; ++source) {
-    stamp[source] = source;
-    queue.clear();
-    queue.push_back(source);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      for (const graph::Digraph::Arc& arc : g.OutArcs(u)) {
-        if (stamp[arc.target] != source) {
-          stamp[arc.target] = source;
-          ++pairs;
-          queue.push_back(arc.target);
-        }
-      }
-    }
-  }
-  return pairs;
-}
-
 }  // namespace flix::index

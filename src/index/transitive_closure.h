@@ -81,11 +81,6 @@ class TransitiveClosureIndex : public PathIndex {
   storage::FlatVec<TagId> tag_;
 };
 
-// Counts the closure without materializing it: number of reachable proper
-// pairs. Used by the Table 1 bench to report |TC| even when storing it
-// would be wasteful.
-size_t CountClosurePairs(const graph::Digraph& g);
-
 }  // namespace flix::index
 
 #endif  // FLIX_INDEX_TRANSITIVE_CLOSURE_H_

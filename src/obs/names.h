@@ -15,15 +15,13 @@
 //   * Span names (obs::TraceSpan) share the namespace: a phase that has both
 //     a latency histogram and a span uses `x.phase_ns` / `x.phase`.
 //   * Adding a metric = add the constant here, then use it; the linter keeps
-//     the two in sync in both directions (unused constants are fine,
-//     undeclared literals are not).
+//     the two in sync in both directions: an undeclared literal fails it,
+//     and so does a constant nothing in src/, tools/, bench/ or perfbench/
+//     references.
 #ifndef FLIX_OBS_NAMES_H_
 #define FLIX_OBS_NAMES_H_
 
 namespace flix::obs::names {
-
-// Common prefix of every FliX metric (exporter filters, `flixctl stats`).
-inline constexpr char kMetricPrefix[] = "flix.";
 
 // --- Build / load phases (flix/flix.cc, flix/index_builder.cc) ------------
 inline constexpr char kBuildCount[] = "flix.build.count";
@@ -34,7 +32,6 @@ inline constexpr char kBuildLandmarksNs[] = "flix.build.landmarks_ns";
 inline constexpr char kBuildIbPpoNs[] = "flix.build.ib_ppo_ns";
 inline constexpr char kBuildIbHopiNs[] = "flix.build.ib_hopi_ns";
 inline constexpr char kBuildIbApexNs[] = "flix.build.ib_apex_ns";
-inline constexpr char kBuildIbOtherNs[] = "flix.build.ib_other_ns";
 inline constexpr char kBuildMetaDocuments[] = "flix.build.meta_documents";
 inline constexpr char kBuildCrossLinks[] = "flix.build.cross_links";
 inline constexpr char kBuildIndexBytes[] = "flix.build.index_bytes";
@@ -75,7 +72,6 @@ inline constexpr char kLandmarksGeneration[] = "flix.landmarks.generation";
 inline constexpr char kCursorPulledPpo[] = "flix.cursor.pulled.ppo";
 inline constexpr char kCursorPulledHopi[] = "flix.cursor.pulled.hopi";
 inline constexpr char kCursorPulledApex[] = "flix.cursor.pulled.apex";
-inline constexpr char kCursorPulledSummary[] = "flix.cursor.pulled.summary";
 inline constexpr char kCursorPulledTc[] = "flix.cursor.pulled.tc";
 
 // --- Query cache (flix/flix.cc gauges over QueryCache::Stats) -------------

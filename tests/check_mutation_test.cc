@@ -22,7 +22,6 @@
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
-#include "index/summary_index.h"
 #include "index/transitive_closure.h"
 #include "obs/metrics.h"
 #include "workload/synthetic_generator.h"
@@ -144,20 +143,6 @@ TEST(MutationTest, MisfiledApexExtentIsDetected) {
   const Status status = apex->Validate(g);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(std::string(status.message()).find("apex:"), std::string::npos)
-      << status.ToString();
-}
-
-// Corruption class 4b: a cleared summary pruning bit — the pruned traversal
-// would cut branches that still hold results with that tag.
-TEST(MutationTest, ClearedSummaryPruningBitIsDetected) {
-  const graph::Digraph g = RandomDigraph(40, 60, 89);
-  const auto summary = SummaryIndex::Build(g);
-  ASSERT_TRUE(summary->Validate(g).ok());
-
-  ASSERT_TRUE(CorruptionHook::ClearSummaryPruningBit(*summary));
-  const Status status = summary->Validate(g);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(std::string(status.message()).find("summary:"), std::string::npos)
       << status.ToString();
 }
 

@@ -21,6 +21,7 @@
 #include "index/path_index.h"
 #include "index/ppo.h"
 #include "index/transitive_closure.h"
+#include "storage/segment.h"
 #include "workload/synthetic_generator.h"
 
 namespace flix {
@@ -169,13 +170,47 @@ TEST(PersistenceTest, TcRoundTrip) {
   CheckIndexRoundTrip(**built, g);
 }
 
+// Strategy kinds no loader knows: 4 was once assigned to the structure
+// summaries the selector could never pick, 999 was never assigned.
+constexpr uint32_t kUnknownStrategyKinds[] = {4, 999};
+
 TEST(PersistenceTest, LoadIndexRejectsGarbage) {
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  writer.WriteU32(999);  // unknown strategy kind
-  graph::Digraph g(1);
-  BinaryReader reader(stream);
-  EXPECT_FALSE(index::LoadIndex(reader, g).ok());
+  const graph::Digraph g(1);
+  for (const uint32_t kind : kUnknownStrategyKinds) {
+    std::stringstream stream;
+    BinaryWriter writer(stream);
+    writer.WriteU32(kind);
+    writer.WriteU64(0);  // a plausible payload must not be parsed either
+    BinaryReader reader(stream);
+    const auto loaded = index::LoadIndex(reader, g);
+    ASSERT_FALSE(loaded.ok()) << "kind " << kind;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "kind " << kind;
+  }
+}
+
+TEST(PersistenceTest, LoadIndexSegmentRejectsUnknownKind) {
+  graph::Digraph g;
+  g.AddNode(0);
+  g.AddNode(1);
+  g.AddEdge(0, 1);
+  auto built = index::PpoIndex::Build(g);
+  ASSERT_TRUE(built.ok());
+  storage::SegmentWriter seg;
+  (*built)->SaveSegment(seg);
+  const std::vector<std::byte> blob = seg.Finish();
+  auto view = storage::SegmentView::Parse({blob.data(), blob.size()});
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  // The same segment loads under its own kind...
+  ASSERT_TRUE(index::LoadIndexSegment(*view, index::StrategyKind::kPpo, g).ok());
+  // ...and is rejected, not misparsed, under any kind no loader knows.
+  for (const uint32_t kind : kUnknownStrategyKinds) {
+    const auto loaded = index::LoadIndexSegment(
+        *view, static_cast<index::StrategyKind>(kind), g);
+    ASSERT_FALSE(loaded.ok()) << "kind " << kind;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "kind " << kind;
+  }
 }
 
 class FlixPersistenceTest

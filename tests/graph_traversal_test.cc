@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.h"
 #include "graph/digraph.h"
 
@@ -157,6 +159,48 @@ TEST(OracleTest, RandomGraphSelfConsistency) {
       EXPECT_EQ(oracle.DescendantsByTag(start, tag), expected);
     }
   }
+}
+
+// Random graph on `n` nodes; with `acyclic`, every edge goes from a lower to
+// a higher node id.
+Digraph RandomGraph(size_t n, size_t edges, uint64_t seed, bool acyclic) {
+  Rng rng(seed);
+  Digraph g;
+  for (size_t i = 0; i < n; ++i) g.AddNode(static_cast<TagId>(rng.Uniform(3)));
+  for (size_t e = 0; e < edges; ++e) {
+    NodeId a = static_cast<NodeId>(rng.Uniform(n));
+    NodeId b = static_cast<NodeId>(rng.Uniform(n));
+    if (acyclic) {
+      if (a == b) continue;
+      if (a > b) std::swap(a, b);
+    }
+    g.AddEdge(a, b);
+  }
+  return g;
+}
+
+TEST(CountClosurePairsTest, MatchesOracleReachableSets) {
+  for (const bool acyclic : {true, false}) {
+    for (uint64_t seed = 0; seed < 5; ++seed) {
+      const Digraph g = RandomGraph(40, 100, seed, acyclic);
+      const ReachabilityOracle oracle(g);
+      size_t expected = 0;
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        expected += oracle.Descendants(v).size();
+      }
+      EXPECT_EQ(CountClosurePairs(g), expected)
+          << (acyclic ? "DAG" : "cyclic graph") << ", seed " << seed;
+    }
+  }
+}
+
+TEST(CountClosurePairsTest, OnCycle) {
+  Digraph g(3);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 0);
+  // Each node reaches the other two (self excluded): 6 pairs.
+  EXPECT_EQ(CountClosurePairs(g), 6u);
 }
 
 }  // namespace

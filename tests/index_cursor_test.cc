@@ -18,7 +18,6 @@
 #include "index/hopi.h"
 #include "index/path_index.h"
 #include "index/ppo.h"
-#include "index/summary_index.h"
 #include "index/transitive_closure.h"
 
 namespace flix::index {
@@ -113,8 +112,6 @@ std::unique_ptr<PathIndex> BuildIndex(StrategyKind kind,
       auto built = TransitiveClosureIndex::Build(g);
       return built.ok() ? std::move(built).value() : nullptr;
     }
-    case StrategyKind::kSummary:
-      return SummaryIndex::BuildFb(g);
   }
   return nullptr;
 }
@@ -224,7 +221,7 @@ std::vector<Params> MakeAllParams() {
   std::vector<Params> params;
   const StrategyKind strategies[] = {
       StrategyKind::kPpo, StrategyKind::kHopi, StrategyKind::kApex,
-      StrategyKind::kTransitiveClosure, StrategyKind::kSummary};
+      StrategyKind::kTransitiveClosure};
   const GraphFamily families[] = {GraphFamily::kForest, GraphFamily::kDag,
                                   GraphFamily::kCyclic,
                                   GraphFamily::kLinkedDocs};

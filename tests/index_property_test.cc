@@ -13,7 +13,6 @@
 #include "index/hopi.h"
 #include "index/path_index.h"
 #include "index/ppo.h"
-#include "index/summary_index.h"
 #include "index/transitive_closure.h"
 
 namespace flix::index {
@@ -109,10 +108,6 @@ std::unique_ptr<PathIndex> BuildIndex(StrategyKind kind,
       auto built = TransitiveClosureIndex::Build(g);
       return built.ok() ? std::move(built).value() : nullptr;
     }
-    case StrategyKind::kSummary:
-      // The F&B variant is the strongest summary; D(k) is covered by the
-      // dedicated summary-index tests.
-      return SummaryIndex::BuildFb(g);
   }
   return nullptr;
 }
@@ -170,7 +165,7 @@ std::vector<Params> MakeAllParams() {
   std::vector<Params> params;
   const StrategyKind strategies[] = {
       StrategyKind::kPpo, StrategyKind::kHopi, StrategyKind::kApex,
-      StrategyKind::kTransitiveClosure, StrategyKind::kSummary};
+      StrategyKind::kTransitiveClosure};
   const GraphFamily families[] = {GraphFamily::kForest, GraphFamily::kDag,
                                   GraphFamily::kCyclic,
                                   GraphFamily::kLinkedDocs};

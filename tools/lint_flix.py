@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """FliX project-invariant linter (DESIGN.md section 8, "Locking discipline").
 
-Three rules, each guarding an invariant the compiler cannot see on its own:
+Four rules, each guarding an invariant the compiler cannot see on its own:
 
 1. sync-primitives — raw ``std::mutex`` / ``std::lock_guard`` /
    ``std::unique_lock`` / ``std::scoped_lock`` / ``std::shared_mutex`` /
@@ -20,6 +20,12 @@ Three rules, each guarding an invariant the compiler cannot see on its own:
    metrics registry interns by name, so a typo silently creates a parallel
    metric; the registry makes names greppable and the linter keeps them
    closed under declaration.
+
+4. dead-metric-names — every constant declared in src/obs/names.h must be
+   referenced, as an identifier, by some C++ file outside that header under
+   src/, tools/, bench/ or perfbench/. A name nothing records or reads
+   promises an exporter, dashboard or bench gate a metric that never
+   appears; delete the constant along with the last code that used it.
 
 Stdlib-only on purpose: runs anywhere python3 exists, including the
 docs-lint CI job (.github/workflows/ci.yml).
@@ -45,6 +51,11 @@ RAW_PRIMITIVES = re.compile(
 TSA_OPTOUT = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 SAFETY_COMMENT = re.compile(r"//\s*SAFETY:")
 METRIC_LITERAL = re.compile(r'"(flix\.[A-Za-z0-9_.]*)"')
+NAME_CONSTANT = re.compile(r"\bconstexpr\s+char\s+(k[A-Za-z0-9_]*)\s*\[\]")
+IDENTIFIER = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
+
+# Trees whose C++ files may reference a metric-name constant (rule 4).
+NAME_USER_DIRS = ("src", "tools", "bench", "perfbench")
 
 
 def cxx_files(root):
@@ -123,8 +134,7 @@ def check_metric_names(path, lines, declared, report):
         return
     for lineno, line in enumerate(lines, start=1):
         for name in METRIC_LITERAL.findall(line):
-            # The bare prefix appears in exporter filters and help text.
-            if name in declared or name == "flix.":
+            if name in declared:
                 continue
             report(
                 path,
@@ -132,6 +142,29 @@ def check_metric_names(path, lines, declared, report):
                 f"metric name \"{name}\" is not declared in src/obs/names.h "
                 "— add it to the registry (and prefer the named constant)",
             )
+
+
+def check_dead_metric_names(report):
+    """Rule 4: reports each names.h constant that no other file mentions."""
+    header = NAMES_HEADER.read_text(encoding="utf-8").splitlines()
+    referenced = set()
+    for top in NAME_USER_DIRS:
+        for path in cxx_files(REPO / top):
+            if path.resolve() == NAMES_HEADER.resolve():
+                continue
+            for line in path.read_text(encoding="utf-8").splitlines():
+                code = strip_comments_and_strings(line)
+                referenced.update(IDENTIFIER.findall(code))
+    for lineno, line in enumerate(header, start=1):
+        for name in NAME_CONSTANT.findall(line):
+            if name not in referenced:
+                report(
+                    NAMES_HEADER,
+                    lineno,
+                    f"{name} is referenced nowhere in "
+                    f"{', '.join(d + '/' for d in NAME_USER_DIRS)} — delete it "
+                    "or use it",
+                )
 
 
 def main():
@@ -155,6 +188,7 @@ def main():
         lines = path.read_text(encoding="utf-8").splitlines()
         check_tsa_optouts(path, lines, report)
         check_metric_names(path, lines, declared, report)
+    check_dead_metric_names(report)
 
     print(
         f"lint_flix: {len(src_files) + len(tools_files)} files scanned, "
