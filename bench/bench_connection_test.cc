@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "obs/names.h"
 #include "workload/query_workload.h"
 
 int main(int argc, char** argv) {
@@ -67,9 +68,9 @@ int main(int argc, char** argv) {
   const auto hybrid = bench::MustBuild(collection, hybrid_options);
 
   auto& registry = obs::MetricsRegistry::Global();
-  obs::Counter& pop_counter = registry.GetCounter("flix.query.point_pops");
+  obs::Counter& pop_counter = registry.GetCounter(obs::names::kQueryPointPops);
   obs::Counter& pruned_counter =
-      registry.GetCounter("flix.pee.guided.pruned_entries");
+      registry.GetCounter(obs::names::kGuidedPrunedEntries);
 
   std::vector<Distance> guided_answers;
   std::vector<Distance> blind_answers;

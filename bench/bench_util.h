@@ -20,6 +20,7 @@
 #include "flix/flix.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/names.h"
 #include "obs/trace.h"
 #include "workload/dblp_generator.h"
 
@@ -170,11 +171,11 @@ inline ConfigEntry Config(const char* key, const char* value) {
 inline void EmitMetricsBlock(const char* bench_name,
                              const std::vector<ConfigEntry>& config = {}) {
   auto& reg = obs::MetricsRegistry::Global();
-  reg.GetHistogram("flix.query.latency_ns");
-  reg.GetCounter("flix.query.entries_processed");
-  reg.GetCounter("flix.query.entries_dominated");
-  reg.GetCounter("flix.query.links_followed");
-  reg.GetCounter("flix.query.index_probes");
+  reg.GetHistogram(obs::names::kQueryLatencyNs);
+  reg.GetCounter(obs::names::kQueryEntriesProcessed);
+  reg.GetCounter(obs::names::kQueryEntriesDominated);
+  reg.GetCounter(obs::names::kQueryLinksFollowed);
+  reg.GetCounter(obs::names::kQueryIndexProbes);
   const std::string metrics = obs::ToJson(reg.Snapshot());
   std::string envelope = "{\"schema_version\":2,\"bench\":\"";
   envelope += bench_name;

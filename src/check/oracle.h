@@ -1,7 +1,7 @@
 // Differential query oracle: replays a sampled query workload through the
-// full FliX stack — streaming cursor evaluation, the legacy materialized
-// path, and exact mode — and diffs every answer against naive BFS over the
-// global element graph.
+// full FliX stack — streaming cursor evaluation, block mode (the paper's
+// per-entry emission, replayed as "materialized") and exact mode — and
+// diffs every answer against naive BFS over the global element graph.
 //
 // What each mode must guarantee (and what is diffed):
 //   * streaming / materialized: the result *set* is exact (every reachable

@@ -121,19 +121,16 @@ class BorrowedMinHeap {
 // stops paying hash-table and heap growth after warm-up.
 struct QueryScratch {
   std::vector<StreamItem> stream_items;
-  std::vector<QueueItem> queue_items;
   std::vector<PointItem> point_items;
   std::unordered_set<NodeId> start_set;
   std::vector<ActiveCursor> slots;
   std::unordered_map<uint32_t, std::vector<NodeId>> entries;
   std::unordered_set<NodeId> emitted;
   std::unordered_set<NodeId> processed;
-  std::unordered_map<NodeId, Distance> best;
   bool in_use = false;
 
   void Clear() {
     stream_items.clear();
-    queue_items.clear();
     point_items.clear();
     start_set.clear();
     slots.clear();
@@ -142,7 +139,6 @@ struct QueryScratch {
     for (auto& [partition, nodes] : entries) nodes.clear();
     emitted.clear();
     processed.clear();
-    best.clear();
   }
 };
 
@@ -299,19 +295,10 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
                                   const QueryOptions& options,
                                   const ResultSink& sink,
                                   QueryStats* stats) const {
-  if (options.exact || options.materialize) {
-    RunMaterialized(starts, tag, wildcard, axis, options, sink, stats);
-  } else {
-    RunStreaming(starts, tag, wildcard, axis, options, sink, stats);
-  }
-}
-
-void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
-                                           TagId tag, bool wildcard, Axis axis,
-                                           const QueryOptions& options,
-                                           const ResultSink& sink,
-                                           QueryStats* stats) const {
   const bool forward = axis == Axis::kDescendants;
+  const bool exact = options.exact;
+  // Exact mode wins when both are set: block emission is out of order.
+  const bool block = options.materialize && !exact;
   QueryStats local_stats;
   if (stats == nullptr) stats = &local_stats;
 
@@ -345,15 +332,22 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
   CursorSavingsFlush savings{slots, *stats};
 
   // Entry points per visited meta document (Section 5.1 duplicate
-  // elimination) and result-level dedup, as in the materializing path.
+  // elimination; exact mode uses the processed-once set instead) and
+  // result-level dedup.
   std::unordered_map<uint32_t, std::vector<NodeId>>& entries =
       scratch->entries;
+  std::unordered_set<NodeId>& processed = scratch->processed;
   std::unordered_set<NodeId>& emitted = scratch->emitted;
   int64_t num_results = 0;
 
   const auto emit = [&](NodeId node, Distance distance) -> bool {
     if (!emitted.insert(node).second) return true;
-    if (emitted_count > 0 && distance < last_emitted_distance) ++out_of_order;
+    if (emitted_count > 0 && distance < last_emitted_distance) {
+      // Every streamed queue key is monotone, so only block mode's
+      // per-entry blocks can arrive out of global order.
+      FLIX_DCHECK(block, "streamed results emitted out of ascending order");
+      ++out_of_order;
+    }
     last_emitted_distance = distance;
     ++emitted_count;
     // Results are attributed to the partition that holds the element.
@@ -403,6 +397,22 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
                 ItemKind::kFrontier, slot});
   };
 
+  // Queues one entry point per link leaving local node `from` (link targets,
+  // or link origins for the ancestors axis), charging the fan-out to the
+  // partition being *left* — the one whose meta-document choice forced it.
+  const auto follow_links = [&](const MetaDocument& meta, NodeId from,
+                                Distance distance,
+                                obs::PartitionDelta* delta) {
+    const std::span<const NodeId> hops =
+        forward ? meta.link_targets.At(from) : meta.entry_origins.At(from);
+    queue.reserve(queue.size() + hops.size());
+    for (const NodeId target : hops) {
+      queue.push({distance, seq++, target, ItemKind::kEntry, 0});
+      ++stats->links_followed;
+      if (delta != nullptr) ++delta->entry_fanout;
+    }
+  };
+
   while (!queue.empty()) {
     const StreamItem item = queue.top();
     queue.pop();
@@ -419,24 +429,13 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
     }
 
     if (item.kind == ItemKind::kFrontier) {
-      ActiveCursor& ac = slots[item.slot];
-      const MetaDocument& meta = set_.docs[ac.meta];
-      const std::span<const NodeId> hops =
-          forward ? meta.link_targets.At(item.node)
-                  : meta.entry_origins.At(item.node);
-      queue.reserve(queue.size() + hops.size());
-      for (const NodeId target : hops) {
-        queue.push({item.distance, seq++, target, ItemKind::kEntry, 0});
-        ++stats->links_followed;
-        // Cross-link fan-out is charged to the partition being *left* —
-        // the one whose meta-document choice forced the hop.
-        if (ac.delta != nullptr) ++ac.delta->entry_fanout;
-      }
+      const ActiveCursor& ac = slots[item.slot];
+      follow_links(set_.docs[ac.meta], item.node, item.distance, ac.delta);
       arm_frontier(item.slot);
       continue;
     }
 
-    // kEntry: duplicate elimination, then open this entry point's cursors.
+    // kEntry: duplicate elimination, then probe this entry point.
     const NodeId e = item.node;
     const uint32_t m = set_.meta_of_node[e];
     const NodeId le = set_.local_of_node[e];
@@ -453,22 +452,28 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
       entry_span.AddAttr("strategy", index->name());
     }
 
-    std::vector<NodeId>& meta_entries = entries[m];
-    bool dominated = false;
-    for (const NodeId p : meta_entries) {
-      const bool covers = forward ? index->IsReachable(p, le)
-                                  : index->IsReachable(le, p);
-      if (covers) {
-        dominated = true;
-        break;
+    // Exact mode processes each entry node once (Dijkstra: the queue keys
+    // are monotone, so the first pop carries its minimal distance). The
+    // other modes skip an entry that an earlier entry point of the same
+    // meta document covers — everything it reaches was already handled.
+    bool skip = false;
+    if (exact) {
+      skip = !processed.insert(e).second;
+    } else {
+      std::vector<NodeId>& meta_entries = entries[m];
+      for (const NodeId p : meta_entries) {
+        if (forward ? index->IsReachable(p, le) : index->IsReachable(le, p)) {
+          skip = true;
+          break;
+        }
       }
+      if (!skip) meta_entries.push_back(le);
     }
-    if (dominated) {
+    if (skip) {
       ++stats->entries_dominated;
       if (pdelta != nullptr) ++pdelta->entries_dominated;
       continue;
     }
-    meta_entries.push_back(le);
     ++stats->entries_processed;
     if (pdelta != nullptr) ++pdelta->entries_processed;
 
@@ -477,6 +482,40 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
     const TagId e_tag = meta.graph.Tag(le);
     if (!start_set.contains(e) && (wildcard || e_tag == tag)) {
       if (!emit(e, item.distance)) return;
+    }
+
+    if (block) {
+      // Block mode (the paper's per-entry emission): drain both probes as
+      // sorted vectors, emit the local block at once, and queue every
+      // frontier hop as an entry point.
+      ++stats->index_probes;
+      if (pdelta != nullptr) ++pdelta->index_probes;
+      const std::vector<index::NodeDist> local_results =
+          forward ? (wildcard ? index->Descendants(le)
+                              : index->DescendantsByTag(le, tag))
+                  : index->AncestorsByTag(le, tag);
+      for (const index::NodeDist& r : local_results) {
+        const NodeId global = meta.global_nodes[r.node];
+        if (start_set.contains(global)) continue;
+        const Distance total = item.distance + r.distance;
+        if (options.max_distance >= 0 && total > options.max_distance) {
+          continue;
+        }
+        if (!emit(global, total)) return;
+      }
+      ++stats->index_probes;
+      if (pdelta != nullptr) ++pdelta->index_probes;
+      const std::vector<index::NodeDist> frontier =
+          forward ? index->ReachableAmong(le, meta.link_sources)
+                  : index->AncestorsAmong(le, meta.entry_nodes);
+      for (const index::NodeDist& f : frontier) {
+        const Distance hop_distance = item.distance + f.distance + 1;
+        if (options.max_distance >= 0 && hop_distance > options.max_distance) {
+          continue;
+        }
+        follow_links(meta, f.node, hop_distance, pdelta);
+      }
+      continue;
     }
 
     // Local probe: a lazy cursor over matches within the meta document.
@@ -522,190 +561,6 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
                    : index->AncestorsAmongCursor(le, meta.entry_nodes),
            index, item.distance, m, pdelta});
       arm_frontier(static_cast<uint32_t>(slots.size() - 1));
-    }
-  }
-}
-
-void PathExpressionEvaluator::RunMaterialized(
-    const std::vector<NodeId>& starts, TagId tag, bool wildcard, Axis axis,
-    const QueryOptions& options, const ResultSink& sink,
-    QueryStats* stats) const {
-  const bool forward = axis == Axis::kDescendants;
-  QueryStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-
-  // Per-query observability: latency span plus counter flush on every exit
-  // path (the sampled out-of-order rate feeds the Section 7 tuning loop).
-  PeeMetrics& metrics = PeeMetrics::Get();
-  obs::TraceSpan span(&metrics.latency_ns, "pee.query");
-  obs::WorkloadProfiler* profiler =
-      profiler_ != nullptr && profiler_->Enabled() ? profiler_ : nullptr;
-  obs::PartitionDeltaMap deltas;
-  size_t emitted_count = 0;
-  size_t out_of_order = 0;
-  Distance last_emitted_distance = 0;
-  QueryMetricsFlush flush{metrics,  *stats, emitted_count, out_of_order,
-                          profiler, deltas, span,          starts.size()};
-
-  // Reused per-thread state; see RunStreaming.
-  ScratchLease scratch;
-  BorrowedMinHeap<QueueItem> queue(scratch->queue_items);
-  uint64_t seq = 0;
-  queue.reserve(starts.size() + 16);
-  for (const NodeId s : starts) queue.push({0, seq++, s});
-  std::unordered_set<NodeId>& start_set = scratch->start_set;
-  start_set.insert(starts.begin(), starts.end());
-
-  // Entry points per visited meta document (paper Section 5.1). In exact
-  // mode the domination rule is off; instead each concrete entry node is
-  // processed once (Dijkstra semantics — the first pop carries its minimal
-  // distance), and result distances are relaxed across entries.
-  std::unordered_map<uint32_t, std::vector<NodeId>>& entries =
-      scratch->entries;
-  std::unordered_set<NodeId>& processed = scratch->processed;
-  // Approximate mode: exact result-level duplicate elimination.
-  std::unordered_set<NodeId>& emitted = scratch->emitted;
-  // Exact mode: minimal distance per result node, emitted sorted at the end.
-  std::unordered_map<NodeId, Distance>& best = scratch->best;
-  int64_t num_results = 0;
-
-  const auto emit_approx = [&](NodeId node, Distance distance) -> bool {
-    if (!emitted.insert(node).second) return true;
-    if (emitted_count > 0 && distance < last_emitted_distance) ++out_of_order;
-    last_emitted_distance = distance;
-    ++emitted_count;
-    if (profiler != nullptr) {
-      ++deltas[set_.meta_of_node[node]].results_emitted;
-    }
-    if (!sink({node, distance})) return false;
-    if (options.max_results >= 0 && ++num_results >= options.max_results) {
-      return false;
-    }
-    return true;
-  };
-  const auto relax_exact = [&](NodeId node, Distance distance) {
-    const auto [it, inserted] = best.emplace(node, distance);
-    if (!inserted && distance < it->second) it->second = distance;
-  };
-
-  while (!queue.empty()) {
-    const QueueItem item = queue.top();
-    queue.pop();
-    if (options.max_distance >= 0 && item.distance > options.max_distance) {
-      break;
-    }
-    const NodeId e = item.node;
-    const uint32_t m = set_.meta_of_node[e];
-    const NodeId le = set_.local_of_node[e];
-    const MetaDocument& meta = set_.docs[m];
-    // Snapshot per entry point (see RunStreaming): all probes for this
-    // entry hit one index even across an online migration.
-    const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
-    obs::PartitionDelta* pdelta = profiler != nullptr ? &deltas[m] : nullptr;
-
-    if (options.exact) {
-      if (!processed.insert(e).second) {
-        ++stats->entries_dominated;
-        if (pdelta != nullptr) ++pdelta->entries_dominated;
-        continue;
-      }
-    } else {
-      // Duplicate elimination: if an earlier entry point dominates e (for
-      // descendants: is an ancestor-or-self of e), everything reachable
-      // from e has already been handled through it.
-      std::vector<NodeId>& meta_entries = entries[m];
-      bool dominated = false;
-      for (const NodeId p : meta_entries) {
-        const bool covers = forward ? index->IsReachable(p, le)
-                                    : index->IsReachable(le, p);
-        if (covers) {
-          dominated = true;
-          break;
-        }
-      }
-      if (dominated) {
-        ++stats->entries_dominated;
-        if (pdelta != nullptr) ++pdelta->entries_dominated;
-        continue;
-      }
-      meta_entries.push_back(le);
-    }
-    ++stats->entries_processed;
-    if (pdelta != nullptr) ++pdelta->entries_processed;
-
-    // The entry element itself is a proper result when it was reached via a
-    // link (not an original start) and matches the condition.
-    const TagId e_tag = meta.graph.Tag(le);
-    if (!start_set.contains(e) && (wildcard || e_tag == tag)) {
-      if (options.exact) {
-        relax_exact(e, item.distance);
-      } else if (!emit_approx(e, item.distance)) {
-        return;
-      }
-    }
-
-    // Local index probe: all matches within the meta document, ascending.
-    ++stats->index_probes;
-    if (pdelta != nullptr) ++pdelta->index_probes;
-    const std::vector<index::NodeDist> local_results =
-        forward ? (wildcard ? index->Descendants(le)
-                            : index->DescendantsByTag(le, tag))
-                : index->AncestorsByTag(le, tag);
-    for (const index::NodeDist& r : local_results) {
-      const NodeId global = meta.global_nodes[r.node];
-      if (start_set.contains(global)) continue;
-      const Distance total = item.distance + r.distance;
-      if (options.max_distance >= 0 && total > options.max_distance) continue;
-      if (options.exact) {
-        relax_exact(global, total);
-      } else if (!emit_approx(global, total)) {
-        return;
-      }
-    }
-
-    // Frontier expansion: elements of L_i (or the entry nodes, for the
-    // ancestors axis) reachable from e, then one hop across each link.
-    ++stats->index_probes;
-    if (pdelta != nullptr) ++pdelta->index_probes;
-    const std::vector<index::NodeDist> frontier =
-        forward ? index->ReachableAmong(le, meta.link_sources)
-                : index->AncestorsAmong(le, meta.entry_nodes);
-    for (const index::NodeDist& f : frontier) {
-      const std::span<const NodeId> hops =
-          forward ? meta.link_targets.At(f.node)
-                  : meta.entry_origins.At(f.node);
-      const Distance hop_distance = item.distance + f.distance + 1;
-      if (options.max_distance >= 0 && hop_distance > options.max_distance) {
-        continue;
-      }
-      queue.reserve(queue.size() + hops.size());
-      for (const NodeId target : hops) {
-        queue.push({hop_distance, seq++, target});
-        ++stats->links_followed;
-        if (pdelta != nullptr) ++pdelta->entry_fanout;
-      }
-    }
-  }
-
-  if (options.exact) {
-    std::vector<index::NodeDist> sorted;
-    sorted.reserve(best.size());
-    for (const auto& [node, distance] : best) sorted.push_back({node, distance});
-    index::SortByDistance(sorted);
-    Distance last = 0;
-    for (const index::NodeDist& nd : sorted) {
-      // Exact mode promises globally ascending emission order.
-      FLIX_DCHECK(nd.distance >= last,
-                  "exact-mode results emitted out of ascending order");
-      last = nd.distance;
-      ++emitted_count;
-      if (profiler != nullptr) {
-        ++deltas[set_.meta_of_node[nd.node]].results_emitted;
-      }
-      if (!sink({nd.node, nd.distance})) return;
-      if (options.max_results >= 0 && ++num_results >= options.max_results) {
-        return;
-      }
     }
   }
 }

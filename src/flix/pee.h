@@ -2,20 +2,21 @@
 // meta documents by combining per-meta-document index probes with run-time
 // link traversal (paper Section 5, Figure 4).
 //
-// The default evaluation mode is fully streamed: instead of materializing
-// each meta document's local result block, the PEE holds one lazy cursor per
-// probe (index::NodeDistCursor) and merges them through its priority queue.
-// Results therefore reach the sink in globally ascending distance order —
-// strictly tighter than the paper's per-block emission, which it reports as
-// 8-13% out-of-order — and an early stop (top-k, max_distance, sink cancel)
-// abandons the cursors before they traverse the rest of their ranges.
-// The result *set* is exact either way: every reachable matching element is
-// emitted exactly once (duplicate elimination via per-meta-document entry
-// points, Section 5.1, backed by an emitted-set membership filter).
+// One loop serves every mode. By default it is fully streamed: instead of
+// materializing each meta document's local result block, the PEE holds one
+// lazy cursor per probe (index::NodeDistCursor) and merges them through its
+// priority queue. Results therefore reach the sink in globally ascending
+// distance order — strictly tighter than the paper's per-block emission,
+// which it reports as 8-13% out-of-order — and an early stop (top-k,
+// max_distance, sink cancel) abandons the cursors before they traverse the
+// rest of their ranges. The result *set* is exact either way: every
+// reachable matching element is emitted exactly once (duplicate elimination
+// via per-meta-document entry points, Section 5.1, backed by an emitted-set
+// membership filter).
 //
-// `QueryOptions::materialize` restores the legacy drain-then-emit probes
-// (one ascending block per meta document) for comparison; exact mode always
-// materializes, since it must relax all candidate distances before sorting.
+// `QueryOptions::exact` streams through the same merge with exact
+// distances, and `QueryOptions::materialize` switches to the paper's
+// per-entry block emission; see the field comments.
 #ifndef FLIX_FLIX_PEE_H_
 #define FLIX_FLIX_PEE_H_
 
@@ -40,14 +41,16 @@ struct QueryOptions {
   // Stop after this many results (< 0: all).
   int64_t max_results = -1;
   // Exact mode (the "returning results exactly sorted instead of
-  // approximately" improvement of Section 7): entry points are not pruned
-  // by the duplicate-elimination rule, per-result distances are relaxed to
-  // their true minima, and the stream is emitted fully sorted. Trades the
-  // early first results for exact distances and order.
+  // approximately" improvement of Section 7): instead of the entry-point
+  // domination rule, each entry node is processed once, at its first pop.
+  // Every queue key is monotone, so that pop — and the first pop of every
+  // result — carries the true minimal distance. Results stream in
+  // ascending distance (ties in discovery order) and the query stops at
+  // `max_results` like any other stream.
   bool exact = false;
-  // Legacy evaluation path: drain each index probe into a sorted vector
-  // before emitting (the paper's per-block behaviour) instead of merging
-  // lazy cursors. Exact mode implies this.
+  // Block mode: the paper's per-entry order. Each entry point drains its
+  // index probes into sorted vectors and emits its local block at once, so
+  // the stream is only approximately sorted. Ignored when `exact` is set.
   bool materialize = false;
 };
 
@@ -169,20 +172,12 @@ class PathExpressionEvaluator {
  private:
   enum class Axis { kDescendants, kAncestors };
 
+  // The evaluator loop behind every descendants, ancestors and type query:
+  // entry points, pending cursor results and frontier hops merge through
+  // one priority queue.
   void Run(const std::vector<NodeId>& starts, TagId tag, bool wildcard,
            Axis axis, const QueryOptions& options, const ResultSink& sink,
            QueryStats* stats) const;
-
-  // Default path: merges lazy per-probe cursors through the priority queue.
-  void RunStreaming(const std::vector<NodeId>& starts, TagId tag,
-                    bool wildcard, Axis axis, const QueryOptions& options,
-                    const ResultSink& sink, QueryStats* stats) const;
-
-  // Legacy path: materializes each probe as one sorted block (also carries
-  // exact mode, which needs every candidate before it can sort).
-  void RunMaterialized(const std::vector<NodeId>& starts, TagId tag,
-                       bool wildcard, Axis axis, const QueryOptions& options,
-                       const ResultSink& sink, QueryStats* stats) const;
 
   // Shared core of IsConnected/FindDistance: Dijkstra over entry points,
   // upgraded to landmark-guided A* when the MetaDocumentSet carries a

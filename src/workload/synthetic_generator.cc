@@ -37,10 +37,11 @@ xml::Document BuildRandomDocument(const SyntheticOptions& options,
       parent = static_cast<xml::ElementId>(rng.Uniform(k));
     } while (depth[parent] + 1 > options.max_depth);
     const TagId tag =
-        pool.Intern("t" + std::to_string(rng.Uniform(options.num_tags)));
+        pool.Intern(std::string("t").append(
+            std::to_string(rng.Uniform(options.num_tags))));
     const xml::ElementId e = doc.AddElement(tag, parent);
     depth[e] = depth[parent] + 1;
-    const std::string anchor = "e" + std::to_string(k);
+    const std::string anchor = std::string("e").append(std::to_string(k));
     doc.element(e).attributes.push_back({"id", anchor});
     doc.RegisterAnchor(anchor, e);
   }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "flix/flix.h"
 #include "flix/query_cache.h"
@@ -97,6 +99,65 @@ TEST(ExactModeTest, RespectsMaxResultsAfterSorting) {
   ASSERT_EQ(results.size(), 2u);
   EXPECT_LE(results[0].distance, results[1].distance);
   EXPECT_EQ(results[0].distance, 1);  // nearest descendants first
+}
+
+TEST(ExactTopKTest, StreamsTheFullDrainsHeadAndStopsEarly) {
+  const auto collection = workload::GenerateSynthetic({.seed = 61});
+  ASSERT_TRUE(collection.ok());
+  constexpr int64_t kTopK = 5;
+  for (const MdbConfig config :
+       {MdbConfig::kNaive, MdbConfig::kUnconnectedHopi, MdbConfig::kHybrid}) {
+    SCOPED_TRACE(MdbConfigName(config));
+    FlixOptions options;
+    options.config = config;
+    options.partition_bound = 60;
+    auto flix = Flix::Build(*collection, options);
+    ASSERT_TRUE(flix.ok());
+    ASSERT_GT((*flix)->stats().num_meta_documents, 1u);
+
+    const TagId tag = collection->pool().Lookup("t1");
+    ASSERT_NE(tag, kInvalidTag);
+    const auto run = [&](NodeId start, int64_t max_results,
+                         QueryStats* stats) {
+      QueryOptions qopts;
+      qopts.exact = true;
+      qopts.max_results = max_results;
+      std::vector<Result> results;
+      (*flix)->pee().FindDescendantsByTag(start, tag, qopts,
+                                          [&](const Result& r) {
+                                            results.push_back(r);
+                                            return true;
+                                          },
+                                          stats);
+      return results;
+    };
+
+    size_t checked = 0;
+    for (DocId d = 0; d < collection->NumDocuments(); d += 3) {
+      const NodeId start = collection->GlobalId(d, 0);
+      QueryStats full_stats;
+      const std::vector<Result> full = run(start, -1, &full_stats);
+      if (full.size() <= static_cast<size_t>(kTopK)) continue;
+      QueryStats top_stats;
+      const std::vector<Result> top = run(start, kTopK, &top_stats);
+
+      ASSERT_EQ(top.size(), static_cast<size_t>(kTopK)) << "start " << start;
+      std::unordered_map<NodeId, Distance> full_distance;
+      for (const Result& r : full) full_distance.emplace(r.node, r.distance);
+      for (size_t i = 0; i < top.size(); ++i) {
+        EXPECT_EQ(top[i].distance, full[i].distance)
+            << "rank " << i << ", start " << start;
+        ASSERT_TRUE(full_distance.contains(top[i].node));
+        EXPECT_EQ(top[i].distance, full_distance[top[i].node]);
+      }
+      // The top-k query stopped before the full traversal finished.
+      EXPECT_TRUE(top_stats.cursor_saved > 0 ||
+                  top_stats.entries_processed < full_stats.entries_processed)
+          << "start " << start;
+      ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+  }
 }
 
 TEST(QueryStatsTest, CountersPopulated) {

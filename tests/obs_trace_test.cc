@@ -110,7 +110,7 @@ TEST_F(TraceCollectorTest, RingBufferDropsOldestAndCounts) {
   for (int i = 0; i < 10; ++i) {
     TraceEvent e;
     e.id = static_cast<uint64_t>(i + 1);
-    e.name = "e" + std::to_string(i);
+    e.name = std::string("e").append(std::to_string(i));
     TraceCollector::Global().Record(std::move(e));
   }
   const std::vector<TraceEvent> events = TraceCollector::Global().Events();

@@ -32,10 +32,10 @@ TEST(NamePoolTest, ManyNamesNoDangling) {
   // move if stored in a reallocating vector).
   NamePool pool;
   for (int i = 0; i < 5000; ++i) {
-    pool.Intern("t" + std::to_string(i));
+    pool.Intern(std::string("t").append(std::to_string(i)));
   }
   for (int i = 0; i < 5000; ++i) {
-    const std::string name = "t" + std::to_string(i);
+    const std::string name = std::string("t").append(std::to_string(i));
     EXPECT_EQ(pool.Lookup(name), static_cast<TagId>(i));
     EXPECT_EQ(pool.Name(i), name);
   }

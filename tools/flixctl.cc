@@ -37,6 +37,7 @@
 #include "flix/landmarks.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/names.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "ontology/ontology.h"
@@ -166,7 +167,8 @@ int Usage() {
       "                   rebuilds and re-saves in the file's format)\n"
       "  flixctl query   --collection FILE --index FILE --start DOC[#ID]\n"
       "                  --tag NAME [--k N] [--max-distance D] [--exact]\n"
-      "                  [--legacy]  (materialize probes instead of streaming)\n"
+      "                  [--legacy]  (block mode: emit each entry's probes\n"
+      "                   as one sorted block, the paper's order)\n"
       "  flixctl connect --collection FILE --index FILE --from DOC[#ID]\n"
       "                  --to DOC[#ID] [--max-distance D] [--no-landmarks]\n"
       "  flixctl search  --collection FILE --text \"...\" [--k N]\n"
@@ -389,7 +391,7 @@ void StatsTick(const Args& args, const core::Flix& flix,
   if (executed > 0) {
     std::cout << "workload:      " << executed << " queries\n";
     if (const auto* latency =
-            snapshot.FindHistogram("flix.query.latency_ns")) {
+            snapshot.FindHistogram(obs::names::kQueryLatencyNs)) {
       std::cout << "query latency: p50 " << latency->p50 / 1e6 << " ms, p95 "
                 << latency->p95 / 1e6 << " ms, p99 " << latency->p99 / 1e6
                 << " ms, max " << static_cast<double>(latency->max) / 1e6

@@ -15,11 +15,13 @@ Four rules, each guarding an invariant the compiler cannot see on its own:
    same line). The escape hatch is allowed; an *unexplained* escape hatch
    is not. The macro definition itself (common/sync.h) is exempt.
 
-3. metric-names — every ``"flix.*"`` string literal in src/ and tools/
-   must be declared in the central registry header src/obs/names.h. The
-   metrics registry interns by name, so a typo silently creates a parallel
-   metric; the registry makes names greppable and the linter keeps them
-   closed under declaration.
+3. metric-names — no ``"flix.*"`` string literal may appear in src/,
+   tools/ or bench/ outside the central registry header src/obs/names.h:
+   code names a metric through its names.h constant. The metrics registry
+   interns by name, so a typo silently creates a parallel metric, and a
+   literal that drifts from a renamed constant silently reads a fresh zero
+   counter; the registry makes names greppable and the linter keeps every
+   use tied to a declaration.
 
 4. dead-metric-names — every constant declared in src/obs/names.h must be
    referenced, as an identifier, by some C++ file outside that header under
@@ -135,13 +137,13 @@ def check_metric_names(path, lines, declared, report):
     for lineno, line in enumerate(lines, start=1):
         for name in METRIC_LITERAL.findall(line):
             if name in declared:
-                continue
-            report(
-                path,
-                lineno,
-                f"metric name \"{name}\" is not declared in src/obs/names.h "
-                "— add it to the registry (and prefer the named constant)",
-            )
+                message = "use its src/obs/names.h constant"
+            else:
+                message = (
+                    "not declared in src/obs/names.h — add it to the "
+                    "registry and use the constant"
+                )
+            report(path, lineno, f'metric name "{name}": {message}')
 
 
 def check_dead_metric_names(report):
@@ -178,20 +180,22 @@ def main():
     declared = declared_metric_names()
     src_files = cxx_files(REPO / "src")
     tools_files = cxx_files(REPO / "tools")
+    bench_files = cxx_files(REPO / "bench")
 
     for path in src_files:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_sync_primitives(path, lines, report)
         check_tsa_optouts(path, lines, report)
         check_metric_names(path, lines, declared, report)
-    for path in tools_files:
+    for path in tools_files + bench_files:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_tsa_optouts(path, lines, report)
         check_metric_names(path, lines, declared, report)
     check_dead_metric_names(report)
 
+    scanned = len(src_files) + len(tools_files) + len(bench_files)
     print(
-        f"lint_flix: {len(src_files) + len(tools_files)} files scanned, "
+        f"lint_flix: {scanned} files scanned, "
         f"{failures} violation(s)"
     )
     return 1 if failures else 0
