@@ -60,38 +60,33 @@ class Flix {
   static StatusOr<std::unique_ptr<Flix>> Build(
       const xml::Collection& collection, const FlixOptions& options = {});
 
-  // Persists the built framework (meta documents + indexes) so a process
-  // can skip the build phase. The collection itself is not stored; Load
-  // must be given the same collection (validated by element count and
-  // document names' element layout).
-  Status Save(std::ostream& out) const;
-  static StatusOr<std::unique_ptr<Flix>> Load(std::istream& in,
-                                              const xml::Collection& collection);
-
-  // On-disk representation for the path-based Save overload.
+  // FLIXPG01 is the only index format. The enum stays so that callers
+  // written against the two-format API, such as the benchmark harness
+  // under perfbench/, keep compiling.
   enum class IndexFormat {
-    // Stream format: compact, but Load copies everything onto the heap.
-    kHeap,
-    // Paged format (storage/format.h): Load mmaps the file and serves
-    // queries zero-copy out of the mapping — cold opens touch only the
-    // pages a query needs, so collections larger than RAM stay usable.
     kMapped,
   };
 
   struct LoadOptions {
-    // Verify every segment checksum up front when opening a paged file.
-    // Costs one sequential read of the file; turning it off defers
-    // corruption detection to `flixctl check` / Validate.
+    // Verify the file before serving from it: every segment checksum, then
+    // the structural range checks of every segment (ids below their table
+    // sizes, CSR rows and numberings well formed), so any bytes give an
+    // error or a working instance. Costs one sequential pass over the
+    // file. Off, the open is lazy and trusts the bytes; corruption then
+    // surfaces only through `flixctl check` / Validate.
     bool verify_checksums = true;
   };
 
-  // Path-based persistence. Save writes the requested format; Load sniffs
-  // the format from the file's magic, so either format loads through the
-  // same call. A paged load pins the file mapping for the instance's
-  // lifetime; indexes replaced later (adaptive ISS) are ordinary heap
-  // indexes layered over the mapped base.
+  // Persists the built framework (meta documents + indexes) so a process
+  // can skip the build phase. The collection itself is not stored; Load
+  // must be given the same collection (validated by element count). The
+  // file is the paged FLIXPG01 format (storage/format.h): Load mmaps it and
+  // serves queries zero-copy out of the mapping, so cold opens touch only
+  // the pages a query needs and collections larger than RAM stay usable.
+  // The mapping is pinned for the instance's lifetime; indexes replaced
+  // later (adaptive ISS) are ordinary heap indexes layered over it.
   Status Save(const std::string& path,
-              IndexFormat format = IndexFormat::kHeap) const;
+              IndexFormat format = IndexFormat::kMapped) const;
   static StatusOr<std::unique_ptr<Flix>> Load(const std::string& path,
                                               const xml::Collection& collection,
                                               const LoadOptions& options);
@@ -209,21 +204,15 @@ class Flix {
 
   void AccumulateStats(const QueryStats& stats) const EXCLUDES(stats_mutex_);
 
-  // Shared tail of both Load paths (stream and paged): profiler seeding,
-  // PEE/cache construction, stats and load metrics.
-  void FinishLoadedInstance(uint64_t load_ns);
-
-  // Paged-format persistence (flix_paged.cc).
+  // Writes the index file to `path` (flix_paged.cc); Save wraps it in a
+  // temporary file and a rename.
   Status SavePaged(const std::string& path) const;
-  static StatusOr<std::unique_ptr<Flix>> LoadPaged(
-      const std::string& path, const xml::Collection& collection,
-      const LoadOptions& options);
 
   const xml::Collection& collection_;
   FlixOptions options_;
-  // Pins the file mapping a paged Load borrowed set_'s views from; declared
-  // before set_ so it is destroyed after everything that aliases it. Null
-  // for built or stream-loaded instances.
+  // Pins the file mapping Load borrowed set_'s views from; declared before
+  // set_ so it is destroyed after everything that aliases it. Null for
+  // built instances.
   std::shared_ptr<storage::PagedFileReader> mapping_;
   MetaDocumentSet set_;
   // Declared before pee_/cache_, which hold pointers to it: destruction

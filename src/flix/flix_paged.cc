@@ -10,15 +10,16 @@
 //     kIndex segment      the strategy payload (kind in the table entry)
 //   segment table
 //
-// LoadPaged mmaps the file and binds every container as a view into the
-// mapping: no per-node copies, so time-to-first-result is governed by page
-// faults on the arrays a query actually touches, not by file size. Semantic
-// validation is intentionally skipped here — the segment checksums prove the
-// bytes are exactly what the writer produced, and `flixctl check --deep`
-// covers writer bugs.
+// Load mmaps the file and binds every container as a view into the mapping:
+// no per-node copies, so time-to-first-result is governed by page faults on
+// the arrays a query actually touches, not by file size. With
+// LoadOptions::verify_checksums (the default) the open also sweeps every
+// segment: checksums first, then the structural range checks that keep
+// queries in bounds even over bytes whose checksums were recomputed. With it
+// off the open stays lazy and trusts the bytes. `flixctl check --deep`
+// covers semantics (writer bugs) either way.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -30,6 +31,7 @@
 #include "flix/flix.h"
 #include "flix/landmarks.h"
 #include "index/path_index.h"
+#include "obs/names.h"
 #include "storage/paged_file.h"
 #include "storage/segment.h"
 
@@ -78,6 +80,23 @@ StatusOr<storage::FlatMultiMap> MultiMapFromSegment(
                                          flat.value());
 }
 
+bool IdsBelow(std::span<const NodeId> ids, uint64_t limit) {
+  for (const NodeId id : ids) {
+    if (id >= limit) return false;
+  }
+  return true;
+}
+
+// Keys index the partition's graph, values the global element space.
+bool MultiMapInRange(const storage::FlatMultiMap& map, uint64_t key_limit,
+                     uint64_t value_limit) {
+  bool ok = true;
+  map.ForEach([&](NodeId key, std::span<const NodeId> values) {
+    ok = ok && key < key_limit && IdsBelow(values, value_limit);
+  });
+  return ok;
+}
+
 // Replaces `path` with the freshly written `tmp`. The rename keeps the old
 // inode alive for any live mapping of the previous file (a paged instance
 // re-saving over its own backing file must not truncate what it still
@@ -94,44 +113,15 @@ Status CommitTempFile(const std::string& tmp, const std::string& path) {
 
 }  // namespace
 
-Status Flix::Save(const std::string& path, IndexFormat format) const {
+Status Flix::Save(const std::string& path, IndexFormat /*format*/) const {
   const std::string tmp = path + ".tmp";
-  if (format == IndexFormat::kMapped) {
-    const Status status = SavePaged(tmp);
-    if (!status.ok()) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return status;
-    }
-    return CommitTempFile(tmp, path);
-  }
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return NotFoundError("cannot open " + tmp + " for writing");
-    }
-    const Status status = Save(out);
-    out.flush();
-    if (!status.ok() || !out) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return status.ok() ? InternalError("write failed while saving " + path)
-                         : status;
-    }
+  const Status status = SavePaged(tmp);
+  if (!status.ok()) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    return status;
   }
   return CommitTempFile(tmp, path);
-}
-
-StatusOr<std::unique_ptr<Flix>> Flix::Load(const std::string& path,
-                                           const xml::Collection& collection,
-                                           const LoadOptions& options) {
-  if (storage::PagedFileReader::SniffPagedFile(path)) {
-    return LoadPaged(path, collection, options);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open " + path);
-  return Load(in, collection);
 }
 
 Status Flix::SavePaged(const std::string& path) const {
@@ -214,12 +204,13 @@ Status Flix::SavePaged(const std::string& path) const {
   return writer->Finish();
 }
 
-StatusOr<std::unique_ptr<Flix>> Flix::LoadPaged(
-    const std::string& path, const xml::Collection& collection,
-    const LoadOptions& load_options) {
+StatusOr<std::unique_ptr<Flix>> Flix::Load(const std::string& path,
+                                           const xml::Collection& collection,
+                                           const LoadOptions& load_options) {
   Stopwatch watch;
+  const bool verify = load_options.verify_checksums;
   StatusOr<storage::PagedFileReader> opened =
-      storage::PagedFileReader::Open(path, load_options.verify_checksums);
+      storage::PagedFileReader::Open(path, verify);
   if (!opened.ok()) return opened.status();
   auto mapping =
       std::make_shared<storage::PagedFileReader>(std::move(opened).value());
@@ -273,6 +264,9 @@ StatusOr<std::unique_ptr<Flix>> Flix::LoadPaged(
   // Fill the docs vector in place: indexes loaded below keep references
   // into their meta document's graph, which must not move afterwards.
   set.docs.resize(sb.num_partitions);
+  uint64_t covered = 0;  // elements whose mapping a partition confirmed
+  const std::span<const uint32_t> meta_of_node = set.meta_of_node.span();
+  const std::span<const NodeId> local_of_node = set.local_of_node.span();
   for (uint32_t m = 0; m < sb.num_partitions; ++m) {
     MetaDocument& meta = set.docs[m];
     meta.id = m;
@@ -306,13 +300,36 @@ StatusOr<std::unique_ptr<Flix>> Flix::LoadPaged(
     meta.entry_origins = std::move(entry_origins).value();
 
     StatusOr<graph::Digraph> graph =
-        graph::Digraph::FromSegment(*view, kGraphBase);
+        graph::Digraph::FromSegment(*view, kGraphBase, verify);
     if (!graph.ok()) return graph.status();
     meta.graph = std::move(graph).value();
-    if (meta.graph.NumNodes() != meta.global_nodes.size()) {
+    const size_t local_count = meta.graph.NumNodes();
+    if (local_count != meta.global_nodes.size()) {
       return InvalidArgumentError("paged index: partition " +
                                   std::to_string(m) +
                                   " graph/global-node size mismatch");
+    }
+    // Local ids index the partition graph, global ids meta_of_node; and
+    // global_nodes must invert the framework's node mapping.
+    if (verify) {
+      if (!IdsBelow(meta.link_sources.span(), local_count) ||
+          !IdsBelow(meta.entry_nodes.span(), local_count) ||
+          !MultiMapInRange(meta.link_targets, local_count, sb.num_elements) ||
+          !MultiMapInRange(meta.entry_origins, local_count, sb.num_elements)) {
+        return InvalidArgumentError("paged index: partition " +
+                                    std::to_string(m) +
+                                    " link table out of range");
+      }
+      for (NodeId local = 0; local < local_count; ++local) {
+        const NodeId global = global_nodes.value()[local];
+        if (global >= sb.num_elements || meta_of_node[global] != m ||
+            local_of_node[global] != local) {
+          return InvalidArgumentError("paged index: partition " +
+                                      std::to_string(m) +
+                                      " disagrees with the node mapping");
+        }
+      }
+      covered += local_count;
     }
 
     const storage::SegmentEntry* index_entry =
@@ -326,11 +343,17 @@ StatusOr<std::unique_ptr<Flix>> Flix::LoadPaged(
     StatusOr<std::unique_ptr<index::PathIndex>> loaded =
         index::LoadIndexSegment(
             *index_view, static_cast<index::StrategyKind>(index_entry->strategy),
-            meta.graph);
+            meta.graph, verify);
     if (!loaded.ok()) return loaded.status();
     meta.index = std::move(loaded).value();
     meta.index->RegisterLinkSources(meta.link_sources.span());
     meta.index->RegisterEntryNodes(meta.entry_nodes.span());
+  }
+  // Every element confirmed by exactly one partition (the checks above
+  // make the confirmations distinct), so every mapping entry is in range.
+  if (verify && covered != sb.num_elements) {
+    return InvalidArgumentError(
+        "paged index: partitions do not cover every element");
   }
 
   // Landmark segment (optional, advisory). Open skipped it in the up-front
@@ -360,7 +383,47 @@ StatusOr<std::unique_ptr<Flix>> Flix::LoadPaged(
     }
   }
 
-  flix->FinishLoadedInstance(watch.ElapsedNanos());
+  // Loaded indexes carry no build timings, but the partition identities
+  // (strategy, node counts) still seed the profiler so query attribution
+  // starts from a described baseline.
+  flix->profiler_.Resize(set.docs.size());
+  for (const MetaDocument& meta : set.docs) {
+    flix->profiler_.SetPartitionInfo(meta.id,
+                                     index::StrategyName(meta.index->kind()),
+                                     meta.graph.NumNodes(), /*build_ns=*/0);
+  }
+  flix->profiler_.SetEnabled(options.workload_profiling);
+
+  flix->pee_ = std::make_unique<PathExpressionEvaluator>(set, &flix->profiler_);
+  if (options.query_cache_capacity > 0) {
+    flix->cache_ = std::make_unique<QueryCache>(options.query_cache_capacity);
+    flix->cache_->AttachProfiler(&flix->profiler_);
+  }
+
+  FlixStats& stats = flix->stats_;
+  stats.num_meta_documents = set.docs.size();
+  stats.num_cross_links = set.num_cross_links;
+  for (const MetaDocument& meta : set.docs) {
+    MetaIndexStats s;
+    s.meta_id = meta.id;
+    s.strategy = meta.index->kind();
+    s.nodes = meta.graph.NumNodes();
+    s.edges = meta.graph.NumEdges();
+    s.index_bytes = meta.index->MemoryBytes();
+    stats.per_meta.push_back(s);
+    stats.total_index_bytes += s.index_bytes;
+    switch (s.strategy) {
+      case index::StrategyKind::kPpo: ++stats.num_ppo; break;
+      case index::StrategyKind::kHopi: ++stats.num_hopi; break;
+      case index::StrategyKind::kApex: ++stats.num_apex; break;
+      case index::StrategyKind::kTransitiveClosure: break;
+    }
+  }
+  const uint64_t load_ns = watch.ElapsedNanos();
+  stats.build_ms = static_cast<double>(load_ns) / 1e6;  // load, not build
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.GetHistogram(obs::names::kLoadTotalNs).Record(static_cast<int64_t>(load_ns));
+  reg.GetCounter(obs::names::kLoadCount).Increment();
   return flix;
 }
 

@@ -79,36 +79,6 @@ Digraph Digraph::InducedSubgraph(const std::vector<NodeId>& nodes,
   return sub;
 }
 
-void Digraph::Save(BinaryWriter& writer) const {
-  writer.WriteSpan(tags_.span());
-  std::vector<Edge> edges = Edges();
-  writer.WriteU64(edges.size());
-  for (const Edge& e : edges) {
-    writer.WriteU32(e.from);
-    writer.WriteU32(e.to);
-    writer.WritePod(static_cast<uint8_t>(e.kind));
-  }
-}
-
-Digraph Digraph::Load(BinaryReader& reader) {
-  Digraph g;
-  g.tags_ = reader.ReadVec<TagId>();
-  g.out_.Assign(g.tags_.size());
-  g.in_.Assign(g.tags_.size());
-  const uint64_t num_edges = reader.ReadU64();
-  for (uint64_t i = 0; i < num_edges && reader.ok(); ++i) {
-    const NodeId from = reader.ReadU32();
-    const NodeId to = reader.ReadU32();
-    const auto kind = static_cast<EdgeKind>(reader.ReadPod<uint8_t>());
-    if (from >= g.NumNodes() || to >= g.NumNodes()) {
-      reader.MarkFailed();  // corrupt edge list
-      break;
-    }
-    g.AddEdge(from, to, kind);
-  }
-  return g;
-}
-
 void Digraph::AppendArrays(storage::SegmentWriter& seg,
                            uint32_t base_id) const {
   seg.Add(base_id + kTagsArray, tags_.span());
@@ -125,7 +95,7 @@ void Digraph::AppendArrays(storage::SegmentWriter& seg,
 }
 
 StatusOr<Digraph> Digraph::FromSegment(const storage::SegmentView& view,
-                                       uint32_t base_id) {
+                                       uint32_t base_id, bool verify) {
   auto tags = view.GetArray<TagId>(base_id + kTagsArray);
   if (!tags.ok()) return tags.status();
   auto out_off = view.GetArray<uint64_t>(base_id + kOutOffsets);
@@ -151,6 +121,16 @@ StatusOr<Digraph> Digraph::FromSegment(const storage::SegmentView& view,
   if (!out.ok()) return out.status();
   auto in = storage::FlatRows<Arc>::FromView(in_off.value(), in_arcs.value());
   if (!in.ok()) return in.status();
+  if (verify) {
+    for (const auto arcs : {out_arcs.value(), in_arcs.value()}) {
+      for (const Arc& arc : arcs) {
+        if (arc.target >= n) {
+          return InvalidArgumentError("digraph segment: arc endpoint out of "
+                                      "range");
+        }
+      }
+    }
+  }
 
   Digraph g;
   g.tags_ = storage::FlatVec<TagId>::FromView(tags.value());

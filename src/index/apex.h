@@ -22,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -73,16 +72,14 @@ class ApexIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence. Load rebinds to `g`, which must be the same graph
-  // the saved index was built from.
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<ApexIndex>> Load(BinaryReader& reader,
-                                                   const graph::Digraph& g);
-
-  // Paged persistence. Like the stream Load, LoadSegment rebinds to `g`.
+  // Paged persistence. LoadSegment rebinds to `g`, which must be the graph
+  // the saved index was built from. With `verify`, it also checks that
+  // block ids are below the block count, extents hold nodes of `g`, the
+  // bitset rows have their stated widths and the summary's arcs are in
+  // range.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<ApexIndex>> LoadSegment(
-      const storage::SegmentView& view, const graph::Digraph& g);
+      const storage::SegmentView& view, const graph::Digraph& g, bool verify);
 
   // Summary introspection (tests, stats).
   size_t NumBlocks() const { return extents_.size(); }

@@ -523,56 +523,6 @@ std::unique_ptr<NodeDistCursor> HopiIndex::AncestorsAmongCursor(
   return PathIndex::AncestorsAmongCursor(from, sources);
 }
 
-void HopiIndex::Save(BinaryWriter& writer) const {
-  // Row-wise writes produce the exact WriteNestedVec byte layout, so stream
-  // files stay compatible regardless of the storage mode Save runs in.
-  writer.WriteU64(out_labels_.size());
-  for (size_t v = 0; v < out_labels_.size(); ++v) {
-    writer.WriteSpan(out_labels_[v]);
-  }
-  writer.WriteU64(in_labels_.size());
-  for (size_t v = 0; v < in_labels_.size(); ++v) {
-    writer.WriteSpan(in_labels_[v]);
-  }
-  writer.WriteSpan(tag_.span());
-  writer.WriteSpan(rank_of_node_.span());
-  writer.WriteSpan(node_of_rank_.span());
-}
-
-StatusOr<std::unique_ptr<HopiIndex>> HopiIndex::Load(BinaryReader& reader) {
-  auto index = std::unique_ptr<HopiIndex>(new HopiIndex());
-  index->out_labels_ = reader.ReadNestedVec<LabelEntry>();
-  index->in_labels_ = reader.ReadNestedVec<LabelEntry>();
-  index->tag_ = reader.ReadVec<TagId>();
-  index->rank_of_node_ = reader.ReadVec<NodeId>();
-  index->node_of_rank_ = reader.ReadVec<NodeId>();
-  const size_t n = index->tag_.size();
-  if (!reader.ok() || index->out_labels_.size() != n ||
-      index->in_labels_.size() != n || index->rank_of_node_.size() != n ||
-      index->node_of_rank_.size() != n) {
-    return InvalidArgumentError("corrupt HOPI index payload");
-  }
-  // Semantic validation: label hubs are ranks in [0, n) (BuildInverted
-  // indexes by them) and distances are non-negative.
-  for (const auto* labels : {&index->out_labels_, &index->in_labels_}) {
-    for (size_t v = 0; v < labels->size(); ++v) {
-      for (const LabelEntry& e : (*labels)[v]) {
-        if (e.hub >= n || e.distance < 0) {
-          return InvalidArgumentError("corrupt HOPI label entry");
-        }
-      }
-    }
-  }
-  for (const NodeId r : index->rank_of_node_) {
-    if (r >= n) return InvalidArgumentError("corrupt HOPI rank table");
-  }
-  for (const NodeId v : index->node_of_rank_) {
-    if (v >= n) return InvalidArgumentError("corrupt HOPI rank table");
-  }
-  index->BuildInverted();
-  return index;
-}
-
 void HopiIndex::SaveSegment(storage::SegmentWriter& seg) const {
   std::vector<uint64_t> offsets;
   std::vector<LabelEntry> flat;
@@ -622,10 +572,32 @@ StatusOr<storage::FlatRows<HopiIndex::LabelEntry>> LabelRowsFromSegment(
                                                             flat.value());
 }
 
+// In every persisted list, `hub` holds a hub rank (labels) or a node id
+// (inverted lists); both index n-entry tables.
+bool EntriesInRange(const storage::FlatRows<HopiIndex::LabelEntry>& rows,
+                    size_t n) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (const HopiIndex::LabelEntry& e : rows[r]) {
+      if (e.hub >= n || e.distance < 0 ||
+          static_cast<size_t>(e.distance) >= n) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool IdsInRange(std::span<const NodeId> ids, size_t n) {
+  for (const NodeId id : ids) {
+    if (id >= n) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<HopiIndex>> HopiIndex::LoadSegment(
-    const storage::SegmentView& view) {
+    const storage::SegmentView& view, const graph::Digraph& g, bool verify) {
   auto out_labels = LabelRowsFromSegment(view, kOutOffsets, kOutFlat);
   if (!out_labels.ok()) return out_labels.status();
   auto in_labels = LabelRowsFromSegment(view, kInOffsets, kInFlat);
@@ -645,6 +617,10 @@ StatusOr<std::unique_ptr<HopiIndex>> HopiIndex::LoadSegment(
       inv_in.value().size() != n || inv_out.value().size() != n ||
       rank_of_node.value().size() != n || node_of_rank.value().size() != n) {
     return InvalidArgumentError("hopi segment: array size mismatch");
+  }
+  if (n != g.NumNodes()) {
+    return InvalidArgumentError("hopi segment: node count does not match the "
+                                "graph");
   }
   auto index = std::unique_ptr<HopiIndex>(new HopiIndex());
   index->out_labels_ = std::move(out_labels).value();
@@ -680,6 +656,22 @@ StatusOr<std::unique_ptr<HopiIndex>> HopiIndex::LoadSegment(
     }
     index->registered_entries_.assign(reg.value().begin(), reg.value().end());
     index->inverted_out_entries_ = std::move(rows).value();
+  }
+  if (verify) {
+    for (const auto* rows :
+         {&index->out_labels_, &index->in_labels_, &index->inverted_in_,
+          &index->inverted_out_, &index->inverted_in_sources_,
+          &index->inverted_out_entries_}) {
+      if (!EntriesInRange(*rows, n)) {
+        return InvalidArgumentError("hopi segment: label entry out of range");
+      }
+    }
+    if (!IdsInRange(index->rank_of_node_.span(), n) ||
+        !IdsInRange(index->node_of_rank_.span(), n) ||
+        !IdsInRange(index->registered_sources_, n) ||
+        !IdsInRange(index->registered_entries_, n)) {
+      return InvalidArgumentError("hopi segment: node id out of range");
+    }
   }
   return index;
 }

@@ -33,7 +33,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -104,17 +103,15 @@ class HopiIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence: labels and tags are stored; inverted lists are
-  // rebuilt on load (call Register* afterwards for the filtered lists).
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<HopiIndex>> Load(BinaryReader& reader);
-
-  // Paged persistence. Unlike the stream format, the inverted lists are
-  // persisted too — rebuilding them on load would re-copy the whole label
-  // volume onto the heap and defeat the zero-copy open.
+  // Paged persistence. The inverted lists and the probe-set projections are
+  // persisted too: rebuilding them on load would re-copy the whole label
+  // volume onto the heap and defeat the zero-copy open. With `verify`,
+  // LoadSegment also checks in one pass over every persisted list that ids
+  // are below n and distances lie in [0, n) (BFS distances in an n-node
+  // graph), so merges index in range and distance sums cannot overflow.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<HopiIndex>> LoadSegment(
-      const storage::SegmentView& view);
+      const storage::SegmentView& view, const graph::Digraph& g, bool verify);
 
   // Total number of (hub, distance) label entries — the classic 2-hop cover
   // size measure; |TC| / labels is the compression the paper reports.

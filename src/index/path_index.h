@@ -24,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "graph/digraph.h"
@@ -250,21 +249,18 @@ void SortByDistance(std::vector<NodeDist>& v);
 // cursor yields, i.e. ascending (distance, node) for conforming cursors).
 std::vector<NodeDist> DrainCursor(NodeDistCursor& cursor);
 
-// Persistence dispatcher: writes the strategy kind followed by the payload.
-void SaveIndex(const PathIndex& index, BinaryWriter& writer);
-// Loads any strategy; `graph` must be the graph the index was built from
-// (needed by APEX, ignored by the others) and must outlive the index.
-StatusOr<std::unique_ptr<PathIndex>> LoadIndex(BinaryReader& reader,
-                                               const graph::Digraph& graph);
-
-// Paged-format dispatchers. SaveIndexSegment appends the strategy's flat
+// Persistence dispatchers. SaveIndexSegment appends the strategy's flat
 // arrays to `seg` (the strategy kind itself travels in the segment-table
-// entry, not the payload); LoadIndexSegment reconstructs a zero-copy view —
-// the mapping behind `view` and `graph` must outlive the index.
+// entry, not the payload); LoadIndexSegment reconstructs a zero-copy view
+// over `graph`, the graph the index was built from — the mapping behind
+// `view` and `graph` must outlive the index. `verify` adds the strategy's
+// O(segment) structural range checks (Flix::LoadOptions::verify_checksums),
+// after which any bytes give an error or an index whose queries stay in
+// bounds.
 void SaveIndexSegment(const PathIndex& index, storage::SegmentWriter& seg);
 StatusOr<std::unique_ptr<PathIndex>> LoadIndexSegment(
     const storage::SegmentView& view, StrategyKind kind,
-    const graph::Digraph& graph);
+    const graph::Digraph& graph, bool verify);
 
 }  // namespace flix::index
 

@@ -305,44 +305,6 @@ std::vector<NodeDist> PpoIndex::ReachableAmong(
   return result;
 }
 
-void PpoIndex::Save(BinaryWriter& writer) const {
-  writer.WriteSpan(pre_.span());
-  writer.WriteSpan(post_.span());
-  writer.WriteSpan(depth_.span());
-  writer.WriteSpan(parent_.span());
-  writer.WriteSpan(subtree_size_.span());
-  writer.WriteSpan(order_.span());
-  writer.WriteSpan(tag_.span());
-}
-
-StatusOr<std::unique_ptr<PpoIndex>> PpoIndex::Load(BinaryReader& reader) {
-  auto index = std::unique_ptr<PpoIndex>(new PpoIndex());
-  index->pre_ = reader.ReadVec<uint32_t>();
-  index->post_ = reader.ReadVec<uint32_t>();
-  index->depth_ = reader.ReadVec<uint32_t>();
-  index->parent_ = reader.ReadVec<NodeId>();
-  index->subtree_size_ = reader.ReadVec<uint32_t>();
-  index->order_ = reader.ReadVec<NodeId>();
-  index->tag_ = reader.ReadVec<TagId>();
-  const size_t n = index->pre_.size();
-  if (!reader.ok() || index->post_.size() != n || index->depth_.size() != n ||
-      index->parent_.size() != n || index->subtree_size_.size() != n ||
-      index->order_.size() != n || index->tag_.size() != n) {
-    return InvalidArgumentError("corrupt PPO index payload");
-  }
-  // Semantic validation: pre/order must be inverse permutations, parents in
-  // range, and subtree intervals inside the node range (queries scan them).
-  for (NodeId v = 0; v < n; ++v) {
-    if (index->pre_[v] >= n || index->order_[index->pre_[v]] != v ||
-        (index->parent_[v] != kInvalidNode && index->parent_[v] >= n) ||
-        index->subtree_size_[v] == 0 ||
-        index->pre_[v] + index->subtree_size_[v] > n) {
-      return InvalidArgumentError("corrupt PPO numbering");
-    }
-  }
-  return index;
-}
-
 void PpoIndex::SaveSegment(storage::SegmentWriter& seg) const {
   seg.Add(kPreArray, pre_.span());
   seg.Add(kPostArray, post_.span());
@@ -353,8 +315,53 @@ void PpoIndex::SaveSegment(storage::SegmentWriter& seg) const {
   seg.Add(kTagArray, tag_.span());
 }
 
+namespace {
+
+// The load-time numbering check behind LoadSegment's `verify`. pre[v] < n
+// with order[pre[v]] == v makes pre a permutation and order its inverse.
+// Each parent precedes its child in preorder (so parent chains end), the
+// child's interval nests in the parent's, depth grows by one per edge, and
+// each subtree size is one plus its children's: then the interval of v
+// holds exactly v's descendants, so the interval scans index only in-range
+// slots and relative depths stay positive.
+Status CheckNumbering(std::span<const uint32_t> pre,
+                      std::span<const uint32_t> depth,
+                      std::span<const NodeId> parent,
+                      std::span<const uint32_t> subtree,
+                      std::span<const NodeId> order) {
+  const size_t n = pre.size();
+  std::vector<uint64_t> child_sizes(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (pre[v] >= n || order[pre[v]] != v || subtree[v] == 0 ||
+        uint64_t{pre[v]} + subtree[v] > n) {
+      return InvalidArgumentError("ppo segment: corrupt numbering");
+    }
+    const NodeId p = parent[v];
+    if (p == kInvalidNode) {
+      if (depth[v] != 0) {
+        return InvalidArgumentError("ppo segment: corrupt numbering");
+      }
+      continue;
+    }
+    if (p >= n || pre[p] >= pre[v] ||
+        uint64_t{pre[v]} + subtree[v] > uint64_t{pre[p]} + subtree[p] ||
+        depth[v] != uint64_t{depth[p]} + 1) {
+      return InvalidArgumentError("ppo segment: corrupt numbering");
+    }
+    child_sizes[p] += subtree[v];
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (subtree[v] != child_sizes[v] + 1) {
+      return InvalidArgumentError("ppo segment: corrupt numbering");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 StatusOr<std::unique_ptr<PpoIndex>> PpoIndex::LoadSegment(
-    const storage::SegmentView& view) {
+    const storage::SegmentView& view, const graph::Digraph& g, bool verify) {
   auto pre = view.GetArray<uint32_t>(kPreArray);
   if (!pre.ok()) return pre.status();
   auto post = view.GetArray<uint32_t>(kPostArray);
@@ -375,10 +382,18 @@ StatusOr<std::unique_ptr<PpoIndex>> PpoIndex::LoadSegment(
       order.value().size() != n || tag.value().size() != n) {
     return InvalidArgumentError("ppo segment: array size mismatch");
   }
-  // Deeper semantic validation is intentionally skipped here: the segment
-  // checksum already proves these are the writer's bytes, and touching
-  // every page would defeat the lazy zero-copy open. `check --deep` covers
-  // semantics.
+  if (n != g.NumNodes()) {
+    return InvalidArgumentError("ppo segment: node count does not match the "
+                                "graph");
+  }
+  if (verify) {
+    if (Status checked = CheckNumbering(pre.value(), depth.value(),
+                                        parent.value(), subtree.value(),
+                                        order.value());
+        !checked.ok()) {
+      return checked;
+    }
+  }
   auto index = std::unique_ptr<PpoIndex>(new PpoIndex());
   index->pre_ = storage::FlatVec<uint32_t>::FromView(pre.value());
   index->post_ = storage::FlatVec<uint32_t>::FromView(post.value());

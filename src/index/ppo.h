@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -63,14 +62,14 @@ class PpoIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence (stream format; works in both storage modes).
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<PpoIndex>> Load(BinaryReader& reader);
-
-  // Paged persistence: flat arrays in a segment, loaded as a zero-copy view.
+  // Paged persistence: flat arrays in a segment, loaded as a zero-copy view
+  // over `g`'s nodes. With `verify`, LoadSegment also checks the numbering
+  // in O(n): pre/order are inverse permutations, parents precede their
+  // children with depth +1, and the subtree intervals nest and telescope —
+  // enough that every interval scan stays in range.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<PpoIndex>> LoadSegment(
-      const storage::SegmentView& view);
+      const storage::SegmentView& view, const graph::Digraph& g, bool verify);
 
   // Accessors used by tests.
   uint32_t pre(NodeId n) const { return pre_[n]; }

@@ -309,40 +309,6 @@ Status TransitiveClosureIndex::Validate(const graph::Digraph& g,
   return PathIndex::Validate(g, options);
 }
 
-void TransitiveClosureIndex::Save(BinaryWriter& writer) const {
-  // Row-wise writes keep the exact WriteNestedVec byte layout in both
-  // storage modes.
-  writer.WriteU64(closure_.size());
-  for (size_t v = 0; v < closure_.size(); ++v) writer.WriteSpan(closure_[v]);
-  writer.WriteU64(reverse_.size());
-  for (size_t v = 0; v < reverse_.size(); ++v) writer.WriteSpan(reverse_[v]);
-  writer.WriteSpan(tag_.span());
-}
-
-StatusOr<std::unique_ptr<TransitiveClosureIndex>> TransitiveClosureIndex::Load(
-    BinaryReader& reader) {
-  auto index =
-      std::unique_ptr<TransitiveClosureIndex>(new TransitiveClosureIndex());
-  index->closure_ = reader.ReadNestedVec<NodeDist>();
-  index->reverse_ = reader.ReadNestedVec<NodeDist>();
-  index->tag_ = reader.ReadVec<TagId>();
-  const size_t n = index->tag_.size();
-  if (!reader.ok() || index->closure_.size() != n ||
-      index->reverse_.size() != n) {
-    return InvalidArgumentError("corrupt transitive-closure index payload");
-  }
-  for (const auto* table : {&index->closure_, &index->reverse_}) {
-    for (size_t v = 0; v < table->size(); ++v) {
-      for (const NodeDist& nd : (*table)[v]) {
-        if (nd.node >= n || nd.distance < 0) {
-          return InvalidArgumentError("corrupt transitive-closure entry");
-        }
-      }
-    }
-  }
-  return index;
-}
-
 void TransitiveClosureIndex::SaveSegment(storage::SegmentWriter& seg) const {
   std::vector<uint64_t> offsets;
   std::vector<NodeDist> flat;
@@ -356,7 +322,8 @@ void TransitiveClosureIndex::SaveSegment(storage::SegmentWriter& seg) const {
 }
 
 StatusOr<std::unique_ptr<TransitiveClosureIndex>>
-TransitiveClosureIndex::LoadSegment(const storage::SegmentView& view) {
+TransitiveClosureIndex::LoadSegment(const storage::SegmentView& view,
+                                    const graph::Digraph& g, bool verify) {
   auto closure_offsets = view.GetArray<uint64_t>(kClosureOffsets);
   if (!closure_offsets.ok()) return closure_offsets.status();
   auto closure_flat = view.GetArray<NodeDist>(kClosureFlat);
@@ -377,9 +344,20 @@ TransitiveClosureIndex::LoadSegment(const storage::SegmentView& view) {
   if (closure.value().size() != n || reverse.value().size() != n) {
     return InvalidArgumentError("tc segment: array size mismatch");
   }
-  // Semantic row validation is intentionally skipped here: the segment
-  // checksum already proves the bytes are exactly what the writer produced,
-  // and `check --deep` / Validate() covers semantics.
+  if (n != g.NumNodes()) {
+    return InvalidArgumentError("tc segment: node count does not match the "
+                                "graph");
+  }
+  if (verify) {
+    for (const auto flat : {closure_flat.value(), reverse_flat.value()}) {
+      for (const NodeDist& nd : flat) {
+        if (nd.node >= n || nd.distance < 0 ||
+            static_cast<size_t>(nd.distance) >= n) {
+          return InvalidArgumentError("tc segment: entry out of range");
+        }
+      }
+    }
+  }
   auto index =
       std::unique_ptr<TransitiveClosureIndex>(new TransitiveClosureIndex());
   index->closure_ = std::move(closure).value();

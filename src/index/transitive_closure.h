@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -56,15 +55,12 @@ class TransitiveClosureIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence (stream format; works in both storage modes).
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<TransitiveClosureIndex>> Load(
-      BinaryReader& reader);
-
-  // Paged persistence: CSR rows in a segment, loaded as a zero-copy view.
+  // Paged persistence: CSR rows in a segment, loaded as a zero-copy view
+  // over `g`'s nodes. With `verify`, LoadSegment also checks that every row
+  // entry names a node below n at a distance in [0, n).
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<TransitiveClosureIndex>> LoadSegment(
-      const storage::SegmentView& view);
+      const storage::SegmentView& view, const graph::Digraph& g, bool verify);
 
   // Number of (ancestor, descendant) pairs in the closure (self excluded).
   size_t NumPairs() const;

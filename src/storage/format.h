@@ -29,6 +29,9 @@ namespace flix::storage {
 
 // "FLIXPG01" in file byte order.
 inline constexpr uint64_t kPagedMagic = 0x3130475058494C46ull;
+// Leading u32 of the retired stream index format ("FLIX"). Open recognizes
+// it only to tell the operator to rebuild such an index.
+inline constexpr uint32_t kRetiredStreamMagic = 0x464C4958;
 inline constexpr uint32_t kPagedVersion = 1;
 // Written as 0x01020304; a byte-swapped reader sees 0x04030201.
 inline constexpr uint32_t kEndianMarker = 0x01020304;

@@ -100,6 +100,16 @@ StatusOr<PagedFileReader> PagedFileReader::Open(const std::string& path,
   PagedFileReader reader;
   reader.file_ = std::move(mapped).value();
   const std::span<const std::byte> bytes = reader.file_.bytes();
+  uint32_t leading = 0;
+  if (bytes.size() >= sizeof(leading)) {
+    std::memcpy(&leading, bytes.data(), sizeof(leading));
+  }
+  if (leading == kRetiredStreamMagic) {
+    return InvalidArgumentError(
+        "index file uses the retired stream format, which this version no "
+        "longer reads; rebuild the index (flixctl build) to get a paged "
+        "FLIXPG01 file");
+  }
   if (bytes.size() < sizeof(Superblock)) {
     return InvalidArgumentError("paged index: file shorter than superblock");
   }
@@ -193,14 +203,6 @@ Status PagedFileReader::VerifySegment(const SegmentEntry& entry) const {
 
 StatusOr<SegmentView> PagedFileReader::View(const SegmentEntry& entry) const {
   return SegmentView::Parse(Payload(entry));
-}
-
-bool PagedFileReader::SniffPagedFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) && magic == kPagedMagic;
 }
 
 }  // namespace flix::storage

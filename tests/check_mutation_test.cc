@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "common/rng.h"
 #include "flix/flix.h"
 #include "storage/format.h"
+#include "storage/segment.h"
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
@@ -438,17 +440,58 @@ TEST_F(OnDiskCorruptionTest, TruncatedLandmarkTableFallsBackToBlind) {
   }
 }
 
-// Corruption class 11: the stream (heap) format must reject truncation just
-// as cleanly through the same path-based Load.
-TEST_F(OnDiskCorruptionTest, TruncatedStreamFileIsRejected) {
-  ASSERT_TRUE(flix_->Save(path_, core::Flix::IndexFormat::kHeap).ok());
-  const std::vector<char> bytes = ReadFile();
-  ASSERT_GT(bytes.size(), 64u);
-  for (const size_t keep : {bytes.size() / 4, bytes.size() - 8}) {
-    WriteFile(std::vector<char>(bytes.begin(),
-                                bytes.begin() + static_cast<ptrdiff_t>(keep)));
-    EXPECT_FALSE(Reload().ok()) << "kept " << keep << " of " << bytes.size();
+// Corruption class 11: an out-of-range node id whose segment checksum was
+// recomputed to match (a crafted or mis-written file). Checksums pass; the
+// structural range checks of the default (verifying) load reject it. The
+// lazy open trusts the bytes and skips those checks.
+TEST_F(OnDiskCorruptionTest, ResealedOutOfRangeNodeIdIsRejected) {
+  SavePaged();
+  std::vector<char> bytes = ReadFile();
+  storage::Superblock sb;
+  std::memcpy(&sb, bytes.data(), sizeof(sb));
+  size_t entry_offset = 0;
+  for (uint64_t i = 0; i < sb.segment_count; ++i) {
+    const size_t offset =
+        sb.segment_table_offset + i * sizeof(storage::SegmentEntry);
+    storage::SegmentEntry entry;
+    std::memcpy(&entry, bytes.data() + offset, sizeof(entry));
+    if (entry.kind == static_cast<uint32_t>(storage::SegmentKind::kPartition)) {
+      entry_offset = offset;
+      break;
+    }
   }
+  ASSERT_NE(entry_offset, 0u) << "no partition segment in the saved file";
+  storage::SegmentEntry entry;
+  std::memcpy(&entry, bytes.data() + entry_offset, sizeof(entry));
+  const std::span<const std::byte> payload(
+      reinterpret_cast<const std::byte*>(bytes.data() + entry.offset),
+      entry.length);
+  auto view = storage::SegmentView::Parse(payload);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  // Array 1 of a partition segment is its global-node list.
+  auto global_nodes = view->GetArray<NodeId>(1);
+  ASSERT_TRUE(global_nodes.ok()) << global_nodes.status().ToString();
+  ASSERT_FALSE(global_nodes->empty());
+  const NodeId out_of_range = static_cast<NodeId>(sb.num_elements);
+  std::memcpy(bytes.data() +
+                  (reinterpret_cast<const char*>(global_nodes->data()) -
+                   bytes.data()),
+              &out_of_range, sizeof(out_of_range));
+  entry.checksum = storage::Fnv1a64(bytes.data() + entry.offset, entry.length);
+  std::memcpy(bytes.data() + entry_offset, &entry, sizeof(entry));
+  ResealChecksums(bytes);
+  WriteFile(bytes);
+
+  const Status status = Reload();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(std::string(status.message()).find("node mapping"),
+            std::string::npos)
+      << status.ToString();
+
+  core::Flix::LoadOptions lazy;
+  lazy.verify_checksums = false;
+  EXPECT_TRUE(core::Flix::Load(path_, collection_, lazy).ok());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <filesystem>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "flix/flix.h"
@@ -146,45 +145,30 @@ TEST(LandmarkCacheTest, ValidateCatchesFlippedDistance) {
       flix->meta_documents().landmarks.Snapshot();
   ASSERT_NE(cache, nullptr);
 
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  cache->Save(writer);
-  ASSERT_TRUE(writer.ok());
-  std::string bytes = stream.str();
-  // The distance tables are the tail of the serialization; flipping the
-  // last byte damages one from-landmark row without breaking the shape.
-  bytes.back() = static_cast<char>(bytes.back() ^ 0x2b);
-  std::stringstream damaged(bytes);
-  BinaryReader reader(damaged);
+  storage::SegmentWriter seg;
+  cache->AppendArrays(seg);
+  std::vector<std::byte> bytes = seg.Finish();
+  // Array 3 of the segment is the from-landmark distance table; flipping
+  // its last byte damages one row without breaking the shape.
+  {
+    auto view = storage::SegmentView::Parse({bytes.data(), bytes.size()});
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    auto from_land = view->GetArray<uint16_t>(3);
+    ASSERT_TRUE(from_land.ok()) << from_land.status().ToString();
+    ASSERT_FALSE(from_land->empty());
+    const size_t last = static_cast<size_t>(
+        reinterpret_cast<const std::byte*>(from_land->data() +
+                                           from_land->size()) -
+        bytes.data()) - 1;
+    bytes[last] ^= std::byte{0x2b};
+  }
+  auto damaged = storage::SegmentView::Parse({bytes.data(), bytes.size()});
+  ASSERT_TRUE(damaged.ok()) << damaged.status().ToString();
   StatusOr<LandmarkCache> loaded =
-      LandmarkCache::Load(reader, cache->num_nodes());
+      LandmarkCache::FromSegment(*damaged, cache->num_nodes());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   // Full sweep (sample >= nodes) must notice the flip.
   EXPECT_FALSE(loaded->Validate(g, g.NumNodes(), /*seed=*/1).ok());
-}
-
-TEST(LandmarkPersistenceTest, HeapRoundTrip) {
-  const auto collection = workload::GenerateSynthetic({.seed = 61});
-  ASSERT_TRUE(collection.ok());
-  auto original = MustBuild(*collection, MdbConfig::kHybrid, 60, 8);
-  const auto before = original->meta_documents().landmarks.Snapshot();
-  ASSERT_NE(before, nullptr);
-
-  std::stringstream stream;
-  ASSERT_TRUE(original->Save(stream).ok());
-  auto loaded = Flix::Load(stream, *collection);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  const auto after = (*loaded)->meta_documents().landmarks.Snapshot();
-  ASSERT_NE(after, nullptr);
-  EXPECT_EQ(after->num_landmarks(), before->num_landmarks());
-  EXPECT_EQ(after->generation(), before->generation());
-  EXPECT_EQ(std::vector<NodeId>(after->landmarks().begin(),
-                                after->landmarks().end()),
-            std::vector<NodeId>(before->landmarks().begin(),
-                                before->landmarks().end()));
-  EXPECT_TRUE(after->Validate(collection->BuildGraph(), 32, 1).ok());
-  EXPECT_EQ((*loaded)->options().landmark_count, 8u);
 }
 
 TEST(LandmarkPersistenceTest, MappedRoundTrip) {

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
@@ -68,17 +73,37 @@ TEST(ParserFuzzTest, RandomBytesNeverCrash) {
   SUCCEED();
 }
 
+std::string TempIndexPath(const std::string& name) {
+  return (std::filesystem::path(::testing::TempDir()) / name).string();
+}
+
+// Writes `bytes` to a file under the test temp directory.
+std::string WriteIndexFile(const std::string& name, const std::string& bytes) {
+  const std::string path = TempIndexPath(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+std::string ReadIndexFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST(PersistenceFuzzTest, CorruptedIndexFilesNeverCrash) {
-  // Save a real index, then mutate bytes at random positions; Load must
-  // return an error or (if the mutation is benign) a working instance —
+  // Save a real index, then mutate bytes at random positions; Load (default
+  // options: checksums and structural checks on) must return an error or
+  // (if the mutation is benign, e.g. in page padding) a working instance —
   // never crash or hang.
   const auto collection = workload::GenerateSynthetic({.seed = 3033});
   ASSERT_TRUE(collection.ok());
   auto flix = core::Flix::Build(*collection, {});
   ASSERT_TRUE(flix.ok());
-  std::stringstream original;
+  const std::string original = TempIndexPath("fuzz_original.flix");
   ASSERT_TRUE((*flix)->Save(original).ok());
-  const std::string bytes = original.str();
+  const std::string bytes = ReadIndexFile(original);
+  ASSERT_FALSE(bytes.empty());
 
   Rng rng(99);
   size_t rejected = 0;
@@ -89,14 +114,14 @@ TEST(PersistenceFuzzTest, CorruptedIndexFilesNeverCrash) {
       mutated[rng.Uniform(mutated.size())] =
           static_cast<char>(rng.Uniform(256));
     }
-    std::stringstream stream(mutated);
-    const auto loaded = core::Flix::Load(stream, *collection);
+    const std::string path = WriteIndexFile("fuzz_mutated.flix", mutated);
+    const auto loaded = core::Flix::Load(path, *collection);
     if (!loaded.ok()) {
       ++rejected;
       EXPECT_FALSE(loaded.status().message().empty());
     } else {
-      // A benign mutation (e.g. inside a distance value) may load; the
-      // instance must still answer queries without crashing.
+      // A benign mutation may load; the instance must still answer queries
+      // without crashing.
       (void)(*loaded)->FindDescendantsByName(collection->GlobalId(0, 0), "t0");
     }
   }
@@ -108,15 +133,17 @@ TEST(PersistenceFuzzTest, TruncatedIndexFilesNeverCrash) {
   ASSERT_TRUE(collection.ok());
   auto flix = core::Flix::Build(*collection, {});
   ASSERT_TRUE(flix.ok());
-  std::stringstream original;
+  const std::string original = TempIndexPath("truncate_original.flix");
   ASSERT_TRUE((*flix)->Save(original).ok());
-  const std::string bytes = original.str();
+  const std::string bytes = ReadIndexFile(original);
+  ASSERT_FALSE(bytes.empty());
 
   Rng rng(101);
   for (int trial = 0; trial < 60; ++trial) {
     const size_t cut = rng.Uniform(bytes.size());
-    std::stringstream stream(bytes.substr(0, cut));
-    const auto loaded = core::Flix::Load(stream, *collection);
+    const std::string path =
+        WriteIndexFile("truncate_cut.flix", bytes.substr(0, cut));
+    const auto loaded = core::Flix::Load(path, *collection);
     // A strict prefix of the file can never be a complete index.
     EXPECT_FALSE(loaded.ok()) << "cut at " << cut << " of " << bytes.size();
   }

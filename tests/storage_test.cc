@@ -295,7 +295,6 @@ std::string WriteSampleFile(const std::string& name) {
 
 TEST(PagedFileTest, WriteOpenRoundTrip) {
   const std::string path = WriteSampleFile("paged_roundtrip.flix");
-  EXPECT_TRUE(PagedFileReader::SniffPagedFile(path));
 
   auto reader = PagedFileReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -323,11 +322,12 @@ TEST(PagedFileTest, WriteOpenRoundTrip) {
   EXPECT_EQ(reader->Find(SegmentKind::kPartition, 5), nullptr);
 }
 
+// Open is the only format check: anything without the paged magic fails it.
 TEST(PagedFileTest, SniffRejectsOtherFiles) {
-  EXPECT_FALSE(PagedFileReader::SniffPagedFile(TempPath("missing.flix")));
+  EXPECT_FALSE(PagedFileReader::Open(TempPath("missing.flix")).ok());
   const std::string path = TempPath("not_paged.flix");
-  WriteAll(path, {'F', 'L', 'I', 'X', '0', '1'});  // stream-format magic
-  EXPECT_FALSE(PagedFileReader::SniffPagedFile(path));
+  WriteAll(path, {'F', 'L', 'I', 'X', '0', '1'});
+  EXPECT_FALSE(PagedFileReader::Open(path).ok());
 }
 
 // Each corruption class must produce a clean non-ok Status from Open — no
@@ -362,7 +362,6 @@ TEST(PagedFileTest, OpenRejectsFlippedMagic) {
   std::vector<char> bytes = ReadAll(path);
   bytes[0] ^= 0x01;
   WriteAll(path, bytes);
-  EXPECT_FALSE(PagedFileReader::SniffPagedFile(path));
   EXPECT_FALSE(PagedFileReader::Open(path).ok());
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """FliX project-invariant linter (DESIGN.md section 8, "Locking discipline").
 
-Four rules, each guarding an invariant the compiler cannot see on its own:
+Five rules, each guarding an invariant the compiler cannot see on its own:
 
 1. sync-primitives — raw ``std::mutex`` / ``std::lock_guard`` /
    ``std::unique_lock`` / ``std::scoped_lock`` / ``std::shared_mutex`` /
@@ -28,6 +28,12 @@ Four rules, each guarding an invariant the compiler cannot see on its own:
    src/, tools/, bench/ or perfbench/. A name nothing records or reads
    promises an exporter, dashboard or bench gate a metric that never
    appears; delete the constant along with the last code that used it.
+
+5. binary-io — ``common/binary_io.h`` (the stream reader/writer) may be
+   included only under src/common/, src/xml/ and tests/. It serves the
+   .flxc collection file alone; index structures persist as FLIXPG01
+   segments (storage/), so a stream Save/Load creeping back into the
+   index, graph or framework layers is a second index format.
 
 Stdlib-only on purpose: runs anywhere python3 exists, including the
 docs-lint CI job (.github/workflows/ci.yml).
@@ -58,6 +64,11 @@ IDENTIFIER = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 
 # Trees whose C++ files may reference a metric-name constant (rule 4).
 NAME_USER_DIRS = ("src", "tools", "bench", "perfbench")
+
+BINARY_IO_INCLUDE = re.compile(r'^\s*#\s*include\s*"common/binary_io\.h"')
+# Where common/binary_io.h may be included (rule 5), and the trees scanned.
+BINARY_IO_ALLOWED = ("src/common/", "src/xml/", "tests/")
+BINARY_IO_SCANNED = ("src", "tools", "bench", "examples", "perfbench")
 
 
 def cxx_files(root):
@@ -169,6 +180,25 @@ def check_dead_metric_names(report):
                 )
 
 
+def check_binary_io_includes(report):
+    """Rule 5: common/binary_io.h only under the collection-format trees."""
+    for top in BINARY_IO_SCANNED:
+        for path in cxx_files(REPO / top):
+            rel = path.relative_to(REPO).as_posix()
+            if rel.startswith(BINARY_IO_ALLOWED):
+                continue
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                if BINARY_IO_INCLUDE.search(line):
+                    report(
+                        path,
+                        lineno,
+                        "common/binary_io.h outside src/common/, src/xml/ "
+                        "and tests/ — index structures persist as FLIXPG01 "
+                        "segments (storage/segment.h)",
+                    )
+
+
 def main():
     failures = 0
 
@@ -192,6 +222,7 @@ def main():
         check_tsa_optouts(path, lines, report)
         check_metric_names(path, lines, declared, report)
     check_dead_metric_names(report)
+    check_binary_io_includes(report)
 
     scanned = len(src_files) + len(tools_files) + len(bench_files)
     print(
