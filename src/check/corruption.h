@@ -12,11 +12,11 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
-#include "index/transitive_closure.h"
 
 namespace flix::index {
 
@@ -25,9 +25,11 @@ struct CorruptionHook {
   // consistent, so the permutation invariant still holds but the interval
   // nesting of some edge breaks (pick a and b as ancestor/descendant).
   static void SwapPpoIntervals(PpoIndex& index, NodeId a, NodeId b) {
-    std::swap(index.pre_[a], index.pre_[b]);
-    index.order_[index.pre_[a]] = a;
-    index.order_[index.pre_[b]] = b;
+    std::vector<uint32_t>& pre = index.pre_.MutableOwned();
+    std::vector<NodeId>& order = index.order_.MutableOwned();
+    std::swap(pre[a], pre[b]);
+    order[pre[a]] = a;
+    order[pre[b]] = b;
   }
 
   // HOPI: drops the last entry of the first non-empty per-hub inverted
@@ -48,14 +50,6 @@ struct CorruptionHook {
   static bool SkewHopiLabelDistance(HopiIndex& index, NodeId v) {
     if (index.out_labels_[v].empty()) return false;
     index.out_labels_.Row(v).back().distance += 1;
-    return true;
-  }
-
-  // TC: truncates the closure row of `v` by one entry, leaving the reverse
-  // rows untouched.
-  static bool TruncateTcRow(TransitiveClosureIndex& index, NodeId v) {
-    if (index.closure_[v].empty()) return false;
-    index.closure_.Row(v).pop_back();
     return true;
   }
 

@@ -20,13 +20,6 @@ namespace {
 
 using index::StrategyKind;
 
-bool Eligible(StrategyKind kind) {
-  // TC is an experiment baseline the Index Builder never emits; leave a
-  // partition carrying one alone.
-  return kind == StrategyKind::kPpo || kind == StrategyKind::kHopi ||
-         kind == StrategyKind::kApex;
-}
-
 double ProjectedCost(const StrategyCosts& c, uint64_t probes, uint64_t pulls,
                      uint64_t nodes, double memory_weight) {
   return static_cast<double>(probes) * c.probe_ns +
@@ -121,7 +114,6 @@ const StrategyCosts& CostModel::For(StrategyKind kind) const {
     case StrategyKind::kPpo: return ppo;
     case StrategyKind::kApex: return apex;
     case StrategyKind::kHopi:
-    case StrategyKind::kTransitiveClosure:
       break;
   }
   return hopi;
@@ -160,7 +152,7 @@ std::vector<Recommendation> RecommendStrategies(
   for (uint32_t p = 0; p < set.docs.size(); ++p) {
     const MetaDocument& doc = set.docs[p];
     const std::shared_ptr<index::PathIndex> live = doc.index.Acquire();
-    if (live == nullptr || !Eligible(live->kind())) continue;
+    if (live == nullptr) continue;
 
     Recommendation rec;
     rec.partition = p;
@@ -279,11 +271,6 @@ Status StrategyMigrator::Migrate(const Recommendation& rec) {
   if (rec.partition >= set.docs.size()) {
     return InvalidArgumentError("no such partition: " +
                                 std::to_string(rec.partition));
-  }
-  if (!Eligible(rec.best)) {
-    return InvalidArgumentError(
-        "strategy not eligible for migration: " +
-        std::string(index::StrategyName(rec.best)));
   }
   const MetaDocument& doc = set.docs[rec.partition];
   const std::shared_ptr<index::PathIndex> old_index = doc.index.Acquire();

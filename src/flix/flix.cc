@@ -8,6 +8,14 @@
 
 namespace flix::core {
 
+void FlixStats::CountStrategy(index::StrategyKind kind) {
+  switch (kind) {
+    case index::StrategyKind::kPpo: ++num_ppo; break;
+    case index::StrategyKind::kHopi: ++num_hopi; break;
+    case index::StrategyKind::kApex: ++num_apex; break;
+  }
+}
+
 StatusOr<std::unique_ptr<Flix>> Flix::Build(const xml::Collection& collection,
                                             const FlixOptions& options) {
   Stopwatch watch;
@@ -63,12 +71,7 @@ StatusOr<std::unique_ptr<Flix>> Flix::Build(const xml::Collection& collection,
     out.total_index_bytes += m.index_bytes;
     out.iss_ms += m.select_ms;
     out.index_build_ms += m.build_ms;
-    switch (m.strategy) {
-      case index::StrategyKind::kPpo: ++out.num_ppo; break;
-      case index::StrategyKind::kHopi: ++out.num_hopi; break;
-      case index::StrategyKind::kApex: ++out.num_apex; break;
-      case index::StrategyKind::kTransitiveClosure: break;
-    }
+    out.CountStrategy(m.strategy);
   }
   out.build_ms = watch.ElapsedMillis();
   reg.GetHistogram(obs::names::kBuildTotalNs).Record(watch.ElapsedNanos());

@@ -49,6 +49,9 @@ struct FlixStats {
   size_t num_ppo = 0;
   size_t num_hopi = 0;
   size_t num_apex = 0;
+
+  // Counts one meta document under `kind` (Build and Load both tally here).
+  void CountStrategy(index::StrategyKind kind);
 };
 
 class Flix {

@@ -412,12 +412,7 @@ StatusOr<std::unique_ptr<Flix>> Flix::Load(const std::string& path,
     s.index_bytes = meta.index->MemoryBytes();
     stats.per_meta.push_back(s);
     stats.total_index_bytes += s.index_bytes;
-    switch (s.strategy) {
-      case index::StrategyKind::kPpo: ++stats.num_ppo; break;
-      case index::StrategyKind::kHopi: ++stats.num_hopi; break;
-      case index::StrategyKind::kApex: ++stats.num_apex; break;
-      case index::StrategyKind::kTransitiveClosure: break;
-    }
+    stats.CountStrategy(s.strategy);
   }
   const uint64_t load_ns = watch.ElapsedNanos();
   stats.build_ms = static_cast<double>(load_ns) / 1e6;  // load, not build

@@ -23,7 +23,6 @@ obs::Histogram& StrategyBuildHistogram(index::StrategyKind kind) {
     case index::StrategyKind::kApex:
       return reg.GetHistogram(obs::names::kBuildIbApexNs);
     case index::StrategyKind::kHopi:
-    case index::StrategyKind::kTransitiveClosure:  // BuildIndexes rejects it
       break;
   }
   return reg.GetHistogram(obs::names::kBuildIbHopiNs);
@@ -80,10 +79,6 @@ StatusOr<std::vector<MetaIndexStats>> BuildIndexes(
       case index::StrategyKind::kApex:
         meta.index = index::ApexIndex::Build(meta.graph);
         break;
-      case index::StrategyKind::kTransitiveClosure:
-        return InvalidArgumentError(
-            std::string(index::StrategyName(kind)) +
-            " is a baseline, not an ISS choice");
     }
     if (ib_span.Collecting()) {
       ib_span.AddAttr("strategy", index::StrategyName(kind));

@@ -48,7 +48,8 @@ MetaDocumentSet Assemble(const graph::Digraph& g,
 
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     MetaDocument& meta = set.docs[part_of[v]];
-    set.local_of_node[v] = static_cast<NodeId>(meta.global_nodes.size());
+    set.local_of_node.MutableOwned()[v] =
+        static_cast<NodeId>(meta.global_nodes.size());
     meta.global_nodes.push_back(v);
   }
   for (uint32_t m = 0; m < num_parts; ++m) {

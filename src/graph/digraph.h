@@ -57,7 +57,7 @@ class Digraph {
   size_t NumLinkEdges() const { return num_link_edges_; }
 
   TagId Tag(NodeId n) const { return tags_[n]; }
-  void SetTag(NodeId n, TagId tag) { tags_[n] = tag; }
+  void SetTag(NodeId n, TagId tag) { tags_.MutableOwned()[n] = tag; }
 
   // One adjacency entry. The explicit (always-zero) padding makes the
   // in-memory bytes deterministic, so mapped segments checksum reproducibly.

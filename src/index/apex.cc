@@ -70,7 +70,7 @@ void ApexIndex::BuildSummary(const ApexOptions& options) {
     for (NodeId v = 0; v < n; ++v) {
       const auto [it, inserted] = block_of_tag.emplace(
           g_.Tag(v), static_cast<uint32_t>(block_of_tag.size()));
-      block_of_[v] = it->second;
+      block_of_.MutableOwned()[v] = it->second;
     }
   }
 
@@ -111,7 +111,7 @@ void ApexIndex::BuildSummary(const ApexOptions& options) {
   for (NodeId v = 0; v < n; ++v) {
     const auto [it, inserted] =
         remap.emplace(block_of_[v], static_cast<uint32_t>(remap.size()));
-    block_of_[v] = it->second;
+    block_of_.MutableOwned()[v] = it->second;
   }
   extents_.Assign(remap.size());
   for (NodeId v = 0; v < n; ++v) extents_.Row(block_of_[v]).push_back(v);

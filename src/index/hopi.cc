@@ -107,7 +107,7 @@ void HopiIndex::BuildGlobal(const graph::Digraph& g,
   out_labels_.Assign(n);
   in_labels_.Assign(n);
   tag_.resize(n);
-  for (NodeId v = 0; v < n; ++v) tag_[v] = g.Tag(v);
+  for (NodeId v = 0; v < n; ++v) tag_.MutableOwned()[v] = g.Tag(v);
 
   // Hub order: (optional border flag, degree product) descending; the label
   // entries store the processing *rank* of a hub so per-node label vectors
@@ -130,8 +130,8 @@ void HopiIndex::BuildGlobal(const graph::Digraph& g,
   rank_of_node_.assign(n, kInvalidNode);
   node_of_rank_.assign(n, kInvalidNode);
   for (NodeId r = 0; r < n; ++r) {
-    rank_of_node_[order[r]] = r;
-    node_of_rank_[r] = order[r];
+    rank_of_node_.MutableOwned()[order[r]] = r;
+    node_of_rank_.MutableOwned()[r] = order[r];
   }
 
   // Epoch-stamped BFS scratch (cleared in O(1) between hubs).

@@ -8,7 +8,6 @@
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
-#include "index/transitive_closure.h"
 
 namespace flix::index {
 
@@ -17,7 +16,6 @@ std::string_view StrategyName(StrategyKind kind) {
     case StrategyKind::kPpo: return "PPO";
     case StrategyKind::kHopi: return "HOPI";
     case StrategyKind::kApex: return "APEX";
-    case StrategyKind::kTransitiveClosure: return "TC";
   }
   return "UNKNOWN";
 }
@@ -137,9 +135,6 @@ void SaveIndexSegment(const PathIndex& index, storage::SegmentWriter& seg) {
     case StrategyKind::kApex:
       static_cast<const ApexIndex&>(index).SaveSegment(seg);
       break;
-    case StrategyKind::kTransitiveClosure:
-      static_cast<const TransitiveClosureIndex&>(index).SaveSegment(seg);
-      break;
   }
 }
 
@@ -159,11 +154,6 @@ StatusOr<std::unique_ptr<PathIndex>> LoadIndexSegment(
     }
     case StrategyKind::kApex: {
       auto loaded = ApexIndex::LoadSegment(view, graph, verify);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-    case StrategyKind::kTransitiveClosure: {
-      auto loaded = TransitiveClosureIndex::LoadSegment(view, graph, verify);
       if (!loaded.ok()) return loaded.status();
       return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
     }

@@ -46,7 +46,7 @@ struct CorruptionHook;
 struct ValidateOptions {
   // Deep mode additionally runs the exhaustive variants of checks that are
   // sampled by default (full pairwise distance diffs on small graphs, every
-  // TC row, every source enumerated).
+  // source enumerated).
   bool deep = false;
   uint64_t seed = 20260806;
   // Sources sampled for enumeration diffs (cursor vs bulk vs BFS oracle).
@@ -58,15 +58,14 @@ struct ValidateOptions {
 };
 
 // Identifies a concrete strategy, used by the Indexing Strategy Selector.
-// The values are persisted in both index formats: never renumber them, and
-// do not reuse 4 (older builds wrote it for the structure summaries, since
-// removed; loaders reject it like any other unknown kind).
+// The values are persisted in the index file: never renumber them, and
+// never reuse 3 or 4 (older builds wrote 3 for the materialized transitive
+// closure and 4 for the structure summaries, both since removed; loaders
+// reject them like any other unknown kind).
 enum class StrategyKind {
   kPpo = 0,
   kHopi = 1,
   kApex = 2,
-  // Materialized closure: the Table 1 size baseline, never an ISS choice.
-  kTransitiveClosure = 3,
 };
 
 std::string_view StrategyName(StrategyKind kind);
@@ -235,9 +234,9 @@ class PathIndex {
   // vs bulk vector vs a naive BFS oracle) — sound for any strategy.
   // Strategies override to verify their structural invariants first (PPO
   // interval nesting, HOPI label/inverted-list consistency, APEX extent
-  // partitioning, TC row = BFS closure) and then run the base diff, so a
-  // violation is reported at the structure that broke, not at a distant
-  // query. Returns the first violation found, with a pinpointing message.
+  // partitioning) and then run the base diff, so a violation is reported at
+  // the structure that broke, not at a distant query. Returns the first
+  // violation found, with a pinpointing message.
   virtual Status Validate(const graph::Digraph& g,
                           const ValidateOptions& options = {}) const;
 };

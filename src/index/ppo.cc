@@ -173,7 +173,14 @@ StatusOr<std::unique_ptr<PpoIndex>> PpoIndex::Build(const graph::Digraph& g) {
   index->subtree_size_.assign(n, 1);
   index->order_.assign(n, kInvalidNode);
   index->tag_.assign(n, kInvalidTag);
-  for (NodeId v = 0; v < n; ++v) index->tag_[v] = g.Tag(v);
+  std::vector<uint32_t>& pre = index->pre_.MutableOwned();
+  std::vector<uint32_t>& post = index->post_.MutableOwned();
+  std::vector<uint32_t>& depth = index->depth_.MutableOwned();
+  std::vector<NodeId>& parent = index->parent_.MutableOwned();
+  std::vector<uint32_t>& subtree_size = index->subtree_size_.MutableOwned();
+  std::vector<NodeId>& order = index->order_.MutableOwned();
+  std::vector<TagId>& tag = index->tag_.MutableOwned();
+  for (NodeId v = 0; v < n; ++v) tag[v] = g.Tag(v);
 
   uint32_t next_pre = 0;
   uint32_t next_post = 0;
@@ -186,27 +193,27 @@ StatusOr<std::unique_ptr<PpoIndex>> PpoIndex::Build(const graph::Digraph& g) {
   std::vector<Frame> stack;
   for (NodeId root = 0; root < n; ++root) {
     if (g.InDegree(root) != 0) continue;
-    index->pre_[root] = next_pre;
-    index->order_[next_pre] = root;
+    pre[root] = next_pre;
+    order[next_pre] = root;
     ++next_pre;
-    index->depth_[root] = 0;
+    depth[root] = 0;
     stack.push_back({root, 0});
     while (!stack.empty()) {
       Frame& frame = stack.back();
       const NodeId u = frame.node;
       if (frame.arc_pos < g.OutArcs(u).size()) {
         const NodeId child = g.OutArcs(u)[frame.arc_pos++].target;
-        index->parent_[child] = u;
-        index->depth_[child] = index->depth_[u] + 1;
-        index->pre_[child] = next_pre;
-        index->order_[next_pre] = child;
+        parent[child] = u;
+        depth[child] = depth[u] + 1;
+        pre[child] = next_pre;
+        order[next_pre] = child;
         ++next_pre;
         stack.push_back({child, 0});
       } else {
-        index->post_[u] = next_post++;
+        post[u] = next_post++;
         stack.pop_back();
         if (!stack.empty()) {
-          index->subtree_size_[stack.back().node] += index->subtree_size_[u];
+          subtree_size[stack.back().node] += subtree_size[u];
         }
       }
     }

@@ -72,7 +72,6 @@ inline constexpr char kLandmarksGeneration[] = "flix.landmarks.generation";
 inline constexpr char kCursorPulledPpo[] = "flix.cursor.pulled.ppo";
 inline constexpr char kCursorPulledHopi[] = "flix.cursor.pulled.hopi";
 inline constexpr char kCursorPulledApex[] = "flix.cursor.pulled.apex";
-inline constexpr char kCursorPulledTc[] = "flix.cursor.pulled.tc";
 
 // --- Query cache (flix/flix.cc gauges over QueryCache::Stats) -------------
 inline constexpr char kCacheSize[] = "flix.cache.size";

@@ -64,11 +64,10 @@ class FlatVec {
   const T* end() const { return data() + size(); }
   std::span<const T> span() const { return {data(), size()}; }
 
-  // Owned-mode mutation (build paths and the corruption test hooks).
-  T& operator[](size_t i) {
-    FLIX_DCHECK(!is_view_, "FlatVec: mutation of a mapped view");
-    return owned_[i];
-  }
+  // Owned-mode mutation (build paths and the corruption test hooks). There
+  // is deliberately no non-const operator[]: reads through a non-const
+  // reference must take the view-aware const overload; writers index
+  // MutableOwned().
   void assign(size_t n, const T& value) {
     FLIX_DCHECK(!is_view_, "FlatVec: mutation of a mapped view");
     owned_.assign(n, value);

@@ -24,7 +24,6 @@
 #include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
-#include "index/transitive_closure.h"
 #include "obs/metrics.h"
 #include "workload/synthetic_generator.h"
 
@@ -57,13 +56,6 @@ graph::Digraph RandomDigraph(size_t n, size_t edges, uint64_t seed,
     g.AddEdge(static_cast<NodeId>(rng.Uniform(n)),
               static_cast<NodeId>(rng.Uniform(n)));
   }
-  return g;
-}
-
-graph::Digraph ChainDag(size_t n) {
-  graph::Digraph g;
-  for (size_t i = 0; i < n; ++i) g.AddNode(static_cast<TagId>(i % 3));
-  for (NodeId i = 0; i + 1 < n; ++i) g.AddEdge(i, i + 1);
   return g;
 }
 
@@ -115,22 +107,6 @@ TEST(MutationTest, SkewedHopiLabelDistanceIsDetected) {
   const Status status = hopi->Validate(g, deep);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(std::string(status.message()).find("hopi:"), std::string::npos)
-      << status.ToString();
-}
-
-// Corruption class 3: truncated transitive-closure row — the forward row
-// disagrees with both its BFS closure and the reverse transpose.
-TEST(MutationTest, TruncatedTcRowIsDetected) {
-  const graph::Digraph g = ChainDag(8);
-  auto built = TransitiveClosureIndex::Build(g);
-  ASSERT_TRUE(built.ok());
-  TransitiveClosureIndex& tc = **built;
-  ASSERT_TRUE(tc.Validate(g).ok());
-
-  ASSERT_TRUE(CorruptionHook::TruncateTcRow(tc, 0));
-  const Status status = tc.Validate(g);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(std::string(status.message()).find("tc:"), std::string::npos)
       << status.ToString();
 }
 
@@ -492,6 +468,46 @@ TEST_F(OnDiskCorruptionTest, ResealedOutOfRangeNodeIdIsRejected) {
   core::Flix::LoadOptions lazy;
   lazy.verify_checksums = false;
   EXPECT_TRUE(core::Flix::Load(path_, collection_, lazy).ok());
+}
+
+// Corruption class 14: index segments that claim a retired strategy kind
+// (3 was the materialized transitive closure, 4 the structure summaries)
+// under resealed checksums. Both the verifying and the lazy load reject the
+// file with InvalidArgument rather than misparse the payload.
+TEST_F(OnDiskCorruptionTest, RetiredStrategyKindIsRejected) {
+  SavePaged();
+  const std::vector<char> saved = ReadFile();
+  storage::Superblock sb;
+  std::memcpy(&sb, saved.data(), sizeof(sb));
+  for (const uint32_t kind : {3u, 4u}) {
+    std::vector<char> bytes = saved;
+    size_t rewritten = 0;
+    for (uint64_t i = 0; i < sb.segment_count; ++i) {
+      const size_t offset =
+          sb.segment_table_offset + i * sizeof(storage::SegmentEntry);
+      storage::SegmentEntry entry;
+      std::memcpy(&entry, bytes.data() + offset, sizeof(entry));
+      if (entry.kind != static_cast<uint32_t>(storage::SegmentKind::kIndex)) {
+        continue;
+      }
+      entry.strategy = kind;
+      std::memcpy(bytes.data() + offset, &entry, sizeof(entry));
+      ++rewritten;
+    }
+    ASSERT_GT(rewritten, 0u) << "no index segment in the saved file";
+    ResealChecksums(bytes);
+    WriteFile(bytes);
+
+    const Status status = Reload();
+    ASSERT_FALSE(status.ok()) << "kind " << kind;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "kind " << kind;
+    core::Flix::LoadOptions lazy;
+    lazy.verify_checksums = false;
+    const auto loaded = core::Flix::Load(path_, collection_, lazy);
+    ASSERT_FALSE(loaded.ok()) << "kind " << kind;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "kind " << kind;
+  }
 }
 
 }  // namespace

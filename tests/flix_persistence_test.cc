@@ -22,7 +22,6 @@
 #include "index/hopi.h"
 #include "index/path_index.h"
 #include "index/ppo.h"
-#include "index/transitive_closure.h"
 #include "storage/format.h"
 #include "storage/segment.h"
 #include "workload/synthetic_generator.h"
@@ -169,16 +168,10 @@ TEST(PersistenceTest, ApexRoundTrip) {
   CheckIndexRoundTrip(*built, g);
 }
 
-TEST(PersistenceTest, TcRoundTrip) {
-  const graph::Digraph g = RandomGraph(40, 90, 17);
-  auto built = index::TransitiveClosureIndex::Build(g);
-  ASSERT_TRUE(built.ok());
-  CheckIndexRoundTrip(**built, g);
-}
-
-// Strategy kinds no loader knows: 4 was once assigned to the structure
-// summaries the selector could never pick, 999 was never assigned.
-constexpr uint32_t kUnknownStrategyKinds[] = {4, 999};
+// Strategy kinds no loader knows: 3 and 4 were once assigned to the
+// materialized transitive closure and the structure summaries, neither of
+// which the selector could pick; 999 was never assigned.
+constexpr uint32_t kUnknownStrategyKinds[] = {3, 4, 999};
 
 TEST(PersistenceTest, LoadIndexSegmentRejectsUnknownKind) {
   graph::Digraph g;
@@ -293,13 +286,6 @@ TEST(SegmentFuzzTest, ApexFlippedBytesNeverCrash) {
   const graph::Digraph g = RandomGraph(50, 110, 25);
   const auto built = index::ApexIndex::Build(g);
   EXPECT_GT(FuzzIndexSegment(*built, g, 205), 0u);
-}
-
-TEST(SegmentFuzzTest, TcFlippedBytesNeverCrash) {
-  const graph::Digraph g = RandomGraph(40, 90, 27);
-  auto built = index::TransitiveClosureIndex::Build(g);
-  ASSERT_TRUE(built.ok());
-  EXPECT_GT(FuzzIndexSegment(**built, g, 207), 0u);
 }
 
 TEST(SegmentFuzzTest, DigraphFlippedBytesNeverCrash) {

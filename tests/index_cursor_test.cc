@@ -18,7 +18,6 @@
 #include "index/hopi.h"
 #include "index/path_index.h"
 #include "index/ppo.h"
-#include "index/transitive_closure.h"
 
 namespace flix::index {
 namespace {
@@ -108,10 +107,6 @@ std::unique_ptr<PathIndex> BuildIndex(StrategyKind kind,
       return HopiIndex::Build(g);
     case StrategyKind::kApex:
       return ApexIndex::Build(g);
-    case StrategyKind::kTransitiveClosure: {
-      auto built = TransitiveClosureIndex::Build(g);
-      return built.ok() ? std::move(built).value() : nullptr;
-    }
   }
   return nullptr;
 }
@@ -219,9 +214,8 @@ TEST_P(IndexCursorTest, CursorsMatchOracleAndHonorContract) {
 
 std::vector<Params> MakeAllParams() {
   std::vector<Params> params;
-  const StrategyKind strategies[] = {
-      StrategyKind::kPpo, StrategyKind::kHopi, StrategyKind::kApex,
-      StrategyKind::kTransitiveClosure};
+  const StrategyKind strategies[] = {StrategyKind::kPpo, StrategyKind::kHopi,
+                                     StrategyKind::kApex};
   const GraphFamily families[] = {GraphFamily::kForest, GraphFamily::kDag,
                                   GraphFamily::kCyclic,
                                   GraphFamily::kLinkedDocs};

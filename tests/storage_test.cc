@@ -57,6 +57,19 @@ TEST(FlatVecTest, OwnedAndViewAnswerIdentically) {
   EXPECT_EQ(view.MemoryBytes(), data.size() * sizeof(uint32_t));
 }
 
+// A loaded index holds its FlatVecs as non-const members; indexing one
+// through a non-const reference must read the mapped view, not the empty
+// owned vector behind it.
+TEST(FlatVecTest, NonConstViewReadsTheView) {
+  const std::vector<uint32_t> backing = {3, 1, 4, 1, 5};
+  FlatVec<uint32_t> view =
+      FlatVec<uint32_t>::FromView({backing.data(), backing.size()});
+  FlatVec<uint32_t>& mutable_ref = view;
+  for (size_t i = 0; i < backing.size(); ++i) {
+    EXPECT_EQ(mutable_ref[i], backing[i]);
+  }
+}
+
 TEST(FlatVecTest, AssignFromVectorClearsViewMode) {
   const std::vector<NodeId> backing = {1, 2, 3};
   FlatVec<NodeId> v = FlatVec<NodeId>::FromView({backing.data(), backing.size()});
