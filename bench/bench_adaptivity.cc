@@ -108,13 +108,13 @@ int main() {
       }
       const double n = queries.empty() ? 1.0 : queries.size();
       const double query_ms = watch.ElapsedMillis() / n;
-      const core::QueryStats stats = flix->CumulativeQueryStats();
+      const uint64_t links = flix->Profile().Totals().entry_fanout;
       std::printf("%-16s %8zu %10s %8.0fms %12.3f %12.1f %9.1f%%\n",
                   std::string(core::MdbConfigName(config)).c_str(),
                   flix->stats().num_meta_documents,
                   FormatBytes(flix->stats().total_index_bytes).c_str(),
                   flix->stats().build_ms, query_ms,
-                  static_cast<double>(stats.links_followed) / n,
+                  static_cast<double>(links) / n,
                   100 * error / n);
     }
   }

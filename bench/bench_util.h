@@ -137,10 +137,18 @@ inline bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-// Relation check line for the qualitative, paper-reported shape.
+// Number of failed Check()s so far in this process.
+inline int failed_checks = 0;
+
+// Relation check line for the qualitative, paper-reported shape. A failure
+// is counted, so the bench can exit non-zero (see ExitCode).
 inline void Check(const char* what, bool ok) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
+  if (!ok) ++failed_checks;
 }
+
+// Exit status for a bench's main: 1 after any [FAIL] line, else 0.
+inline int ExitCode() { return failed_checks == 0 ? 0 : 1; }
 
 // A bench-run parameter recorded in the emitted envelope. bench_compare
 // refuses to diff runs whose config key/value lists differ, so anything

@@ -1,7 +1,9 @@
 // Self-tuning (paper Section 7): run a query load against a deliberately
-// poor configuration, watch the PEE's traversal statistics flag the
-// mismatch, and rebuild with the recommended coarser meta documents. Also
-// demonstrates the query result cache and exact-order evaluation.
+// poor configuration, watch the workload profiler's traversal totals flag
+// the mismatch, and rebuild with coarser meta documents. (`flixctl adapt`
+// acts on the same profile per meta document, swapping strategies in
+// place.) Also demonstrates the query result cache and exact-order
+// evaluation.
 //
 //   $ ./self_tuning
 #include <cstdio>
@@ -36,18 +38,37 @@ int main() {
   const auto queries =
       workload::SampleDescendantQueries(*collection, g, sampler);
 
+  // Runs the query load and returns the cross links followed per query:
+  // when queries follow many links at run time, the build phase should be
+  // repeated with coarser meta documents (a larger partition bound or a
+  // more HOPI-leaning configuration).
+  constexpr double kMaxLinksPerQuery = 4;
   const auto run_load = [&](const core::Flix& flix) {
     Stopwatch watch;
     size_t results = 0;
     for (const auto& q : queries) {
       results += flix.FindDescendantsByName(q.start, q.tag_name).size();
     }
-    const core::QueryStats stats = flix.CumulativeQueryStats();
-    std::printf("  %zu queries, %zu results, %.2f ms; entries %zu "
-                "(%zu dominated), links followed %zu, probes %zu\n",
+    const obs::PartitionProfile totals = flix.Profile().Totals();
+    std::printf("  %zu queries, %zu results, %.2f ms; entries %llu "
+                "(%llu dominated), links followed %llu, probes %llu\n",
                 queries.size(), results, watch.ElapsedMillis(),
-                stats.entries_processed, stats.entries_dominated,
-                stats.links_followed, stats.index_probes);
+                static_cast<unsigned long long>(totals.entries_processed),
+                static_cast<unsigned long long>(totals.entries_dominated),
+                static_cast<unsigned long long>(totals.entry_fanout),
+                static_cast<unsigned long long>(totals.index_probes));
+    const double links_per_query =
+        queries.empty() ? 0
+                        : static_cast<double>(totals.entry_fanout) /
+                              static_cast<double>(queries.size());
+    if (links_per_query > kMaxLinksPerQuery) {
+      std::printf("  advice: queries follow %.1f links on average; rebuild "
+                  "with coarser meta documents\n\n",
+                  links_per_query);
+    } else {
+      std::printf("  advice: configuration is fine\n\n");
+    }
+    return links_per_query;
   };
 
   // Round 1: Naive configuration on a densely linked collection — every
@@ -59,14 +80,7 @@ int main() {
   if (!flix.ok()) return 1;
   std::printf("round 1: %s configuration\n",
               std::string(core::MdbConfigName(naive.config)).c_str());
-  run_load(**flix);
-
-  const auto advice = (*flix)->RecommendReconfiguration(/*max_links=*/4);
-  std::printf("  advice: %s\n\n",
-              advice.rebuild_recommended ? advice.reason.c_str()
-                                         : "configuration is fine");
-
-  if (advice.rebuild_recommended) {
+  if (run_load(**flix) > kMaxLinksPerQuery) {
     // Round 2: follow the advice — coarser, HOPI-leaning meta documents.
     core::FlixOptions tuned;
     tuned.config = core::MdbConfig::kUnconnectedHopi;
@@ -78,10 +92,6 @@ int main() {
                 std::string(core::MdbConfigName(tuned.config)).c_str(),
                 tuned.partition_bound);
     run_load(**retuned);
-    const auto after = (*retuned)->RecommendReconfiguration(4);
-    std::printf("  advice: %s\n\n",
-                after.rebuild_recommended ? after.reason.c_str()
-                                          : "configuration is fine");
     flix = std::move(retuned);
   }
 

@@ -256,8 +256,7 @@ CheckReport ValidateFramework(const core::Flix& flix,
   // PEE's A* consults (flix/landmarks.h). Cheap modes skip it — the cache is
   // advisory and a damaged one is already dropped at load time.
   if (options.index.deep) {
-    const std::shared_ptr<const core::LandmarkCache> landmarks =
-        set.landmarks.Snapshot();
+    const core::LandmarkCache* landmarks = set.landmarks.Snapshot();
     if (landmarks != nullptr && !landmarks->empty()) {
       ++report.checks_run;
       if (landmarks->num_nodes() != n) {

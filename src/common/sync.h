@@ -18,10 +18,9 @@
 // Lock-order hierarchy (DESIGN.md section 8). A thread holding a lock may
 // only acquire locks of a *later* rank:
 //
-//   engine            Flix::stats_mutex_, StrategyMigrator::mutex_,
-//                     LandmarkRefresher::mutex_
+//   engine            StrategyMigrator::mutex_
 //     │
-//   partition handle  IndexHandle::lock_, LandmarkHandle::lock_
+//   partition handle  IndexHandle::lock_
 //     │
 //   cache             QueryCache::mutex_, StreamedList::mutex_
 //     │
@@ -34,6 +33,13 @@
 // rank tag and ACQUIRED_BEFORE the next, so -Wthread-safety-beta turns a
 // lock-order inversion anywhere in the codebase into a compile error via
 // the transitive acquired-before graph.
+//
+// State that only a single-writer phase changes (Build, Load, an offline
+// landmark rebuild) takes no lock at all: the framework tables, the
+// landmark cache and the FlixStats are fixed while queries run, and the
+// per-query traversal totals live in the atomics of WorkloadProfiler and
+// the metrics registry. A lock belongs only to state that changes under
+// live queries — today the partition indexes the adaptive ISS swaps.
 #ifndef FLIX_COMMON_SYNC_H_
 #define FLIX_COMMON_SYNC_H_
 
@@ -145,8 +151,8 @@ class CAPABILITY("mutex") Mutex {
 };
 
 // Annotated test-and-set spinlock: one uncontended atomic exchange to
-// acquire, for critical sections of a few instructions (the refcounted
-// handle swaps in flix/meta_document.h). Never hold across a blocking call.
+// acquire, for critical sections of a few instructions (IndexHandle's
+// swap in flix/meta_document.h). Never hold across a blocking call.
 class CAPABILITY("mutex") SpinLock {
  public:
   SpinLock() = default;  // C++20 default-initializes atomic_flag to clear

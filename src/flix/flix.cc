@@ -52,7 +52,7 @@ StatusOr<std::unique_ptr<Flix>> Flix::Build(const xml::Collection& collection,
   if (options.landmark_count > 0) {
     obs::TraceSpan landmark_span(&reg.GetHistogram(obs::names::kBuildLandmarksNs),
                                  obs::names::kSpanBuildLandmarks);
-    flix->set_.landmarks.Replace(std::make_shared<const LandmarkCache>(
+    flix->set_.landmarks.Set(std::make_shared<const LandmarkCache>(
         LandmarkCache::Build(graph, flix->set_, options.landmark_count)));
   }
 
@@ -88,9 +88,7 @@ void Flix::FindDescendantsByName(NodeId start, std::string_view name,
                                  const ResultSink& sink) const {
   const TagId tag = LookupTag(name);
   if (tag == kInvalidTag) return;
-  QueryStats stats;
-  pee_->FindDescendantsByTag(start, tag, options, sink, &stats);
-  AccumulateStats(stats);
+  pee_->FindDescendantsByTag(start, tag, options, sink);
 }
 
 std::vector<Result> Flix::FindDescendantsByName(
@@ -111,14 +109,10 @@ std::vector<Result> Flix::FindDescendantsByName(
     return results;
   }
 
-  QueryStats stats;
-  pee_->FindDescendantsByTag(start, tag, options,
-                             [&](const Result& r) {
-                               results.push_back(r);
-                               return true;
-                             },
-                             &stats);
-  AccumulateStats(stats);
+  pee_->FindDescendantsByTag(start, tag, options, [&](const Result& r) {
+    results.push_back(r);
+    return true;
+  });
   if (cacheable) cache_->Insert(start, tag, results);
   return results;
 }
@@ -128,14 +122,10 @@ std::vector<Result> Flix::FindAncestorsByName(
   std::vector<Result> results;
   const TagId tag = LookupTag(name);
   if (tag == kInvalidTag) return results;
-  QueryStats stats;
-  pee_->FindAncestorsByTag(start, tag, options,
-                           [&](const Result& r) {
-                             results.push_back(r);
-                             return true;
-                           },
-                           &stats);
-  AccumulateStats(stats);
+  pee_->FindAncestorsByTag(start, tag, options, [&](const Result& r) {
+    results.push_back(r);
+    return true;
+  });
   return results;
 }
 
@@ -146,32 +136,12 @@ std::vector<Result> Flix::EvaluateTypeQuery(std::string_view start_name,
   const TagId start_tag = LookupTag(start_name);
   const TagId result_tag = LookupTag(result_name);
   if (start_tag == kInvalidTag || result_tag == kInvalidTag) return results;
-  QueryStats stats;
   pee_->EvaluateTypeQuery(start_tag, result_tag, options,
                           [&](const Result& r) {
                             results.push_back(r);
                             return true;
-                          },
-                          &stats);
-  AccumulateStats(stats);
+                          });
   return results;
-}
-
-void Flix::AccumulateStats(const QueryStats& stats) const {
-  MutexLock lock(stats_mutex_);
-  cumulative_stats_.entries_processed += stats.entries_processed;
-  cumulative_stats_.entries_dominated += stats.entries_dominated;
-  cumulative_stats_.links_followed += stats.links_followed;
-  cumulative_stats_.index_probes += stats.index_probes;
-  cumulative_stats_.cursors_opened += stats.cursors_opened;
-  cumulative_stats_.cursor_pulls += stats.cursor_pulls;
-  cumulative_stats_.cursor_saved += stats.cursor_saved;
-  ++num_queries_;
-}
-
-QueryStats Flix::CumulativeQueryStats() const {
-  MutexLock lock(stats_mutex_);
-  return cumulative_stats_;
 }
 
 obs::MetricsSnapshot Flix::MetricsSnapshot() const {
@@ -202,11 +172,6 @@ obs::MetricsSnapshot Flix::MetricsSnapshot() const {
     reg.GetGauge(obs::names::kCacheEvictions)
         .Set(static_cast<int64_t>(cache.evictions));
   }
-  {
-    MutexLock lock(stats_mutex_);
-    reg.GetGauge(obs::names::kQueryFacadeCount)
-        .Set(static_cast<int64_t>(num_queries_));
-  }
   // Touch the streaming-cursor counters so they appear in the snapshot even
   // before the first query registers them.
   reg.GetCounter(obs::names::kQueryCursorOpened);
@@ -226,16 +191,11 @@ obs::MetricsSnapshot Flix::MetricsSnapshot() const {
   reg.GetCounter(obs::names::kQueryPointPops);
   reg.GetCounter(obs::names::kGuidedPrunedEntries);
   reg.GetCounter(obs::names::kGuidedHeuristicHits);
-  reg.GetCounter(obs::names::kGuidedStaleReads);
-  {
-    const std::shared_ptr<const LandmarkCache> landmarks =
-        set_.landmarks.Snapshot();
-    const bool present = landmarks != nullptr && !landmarks->empty();
-    reg.GetGauge(obs::names::kLandmarksCount)
-        .Set(present ? static_cast<int64_t>(landmarks->num_landmarks()) : 0);
-    reg.GetGauge(obs::names::kLandmarksGeneration)
-        .Set(present ? static_cast<int64_t>(landmarks->generation()) : 0);
-  }
+  const LandmarkCache* landmarks = set_.landmarks.Snapshot();
+  reg.GetGauge(obs::names::kLandmarksCount)
+      .Set(landmarks != nullptr
+               ? static_cast<int64_t>(landmarks->num_landmarks())
+               : 0);
   return reg.Snapshot();
 }
 
@@ -281,18 +241,15 @@ Status Flix::Validate(const index::ValidateOptions& options) const {
   return Status::Ok();
 }
 
-size_t Flix::RebuildLandmarks() {
+void Flix::RebuildLandmarks(size_t count) {
   auto& reg = obs::MetricsRegistry::Global();
   obs::TraceSpan span(&reg.GetHistogram(obs::names::kBuildLandmarksNs),
-                      obs::names::kSpanLandmarksRebuild);
-  const graph::Digraph graph = collection_.BuildGraph();
-  LandmarkCache next = LandmarkCache::Build(graph, set_, options_.landmark_count);
-  const std::shared_ptr<const LandmarkCache> old = set_.landmarks.Snapshot();
-  next.set_generation((old != nullptr ? old->generation() : 0) + 1);
-  const size_t stale = set_.landmarks.Replace(
-      std::make_shared<const LandmarkCache>(std::move(next)));
-  reg.GetCounter(obs::names::kGuidedStaleReads).Add(stale);
-  return stale;
+                      obs::names::kSpanBuildLandmarks);
+  options_.landmark_count = count;
+  set_.landmarks.Set(
+      count > 0 ? std::make_shared<const LandmarkCache>(LandmarkCache::Build(
+                      collection_.BuildGraph(), set_, count))
+                : nullptr);
 }
 
 void Flix::ReplacePartitionIndex(uint32_t partition,
@@ -304,24 +261,6 @@ void Flix::ReplacePartitionIndex(uint32_t partition,
   profiler_.SetPartitionInfo(partition, index::StrategyName(index->kind()),
                              meta.graph.NumNodes(), build_ns);
   meta.index.Replace(std::move(index));
-}
-
-Flix::TuningAdvice Flix::RecommendReconfiguration(
-    double max_links_per_query) const {
-  MutexLock lock(stats_mutex_);
-  TuningAdvice advice;
-  if (num_queries_ == 0) return advice;
-  advice.links_per_query =
-      static_cast<double>(cumulative_stats_.links_followed) /
-      static_cast<double>(num_queries_);
-  if (advice.links_per_query > max_links_per_query) {
-    advice.rebuild_recommended = true;
-    advice.reason =
-        "queries follow " + std::to_string(advice.links_per_query) +
-        " links on average; rebuild with coarser meta documents (larger "
-        "partition_bound or a HOPI-leaning configuration)";
-  }
-  return advice;
 }
 
 std::string_view MdbConfigName(MdbConfig config) {

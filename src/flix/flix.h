@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/sync.h"
 #include "flix/config.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -151,15 +150,11 @@ class Flix {
   // so re-enabling is instant.
   void SetLandmarksEnabled(bool enabled) { set_.landmarks.SetEnabled(enabled); }
 
-  // Changes the landmark count used by subsequent RebuildLandmarks / Save.
-  void SetLandmarkCount(size_t count) { options_.landmark_count = count; }
-
-  // Rebuilds the landmark cache from the live collection and partitioning
-  // and atomically publishes it; returns the number of in-flight queries
-  // that still held the displaced cache (metered as
-  // flix.pee.guided.stale_reads). Queries racing the swap stay correct —
-  // a stale cache is still admissible for the unchanged element graph.
-  size_t RebuildLandmarks();
+  // Rebuilds the landmark cache with `count` landmarks (0 removes it) from
+  // the collection and the current partitioning; a following Save persists
+  // both. Offline, like Build and Load: must not run while queries do
+  // (`flixctl landmarks --refresh` loads, rebuilds and re-saves).
+  void RebuildLandmarks(size_t count);
 
   // Per-meta-document workload attribution (see obs/profile.h). Owned by
   // this instance — partition ids are local to one index, so side-by-side
@@ -169,11 +164,10 @@ class Flix {
   obs::WorkloadProfiler& profiler() { return profiler_; }
   const obs::WorkloadProfiler& profiler() const { return profiler_; }
   // Convenience snapshot of the profiler (serialize with ProfileToJson).
+  // Profile().Totals() holds the cumulative traversal counters over every
+  // query this instance ran — the statistics feed for the paper's
+  // self-tuning idea (Section 7; `flixctl adapt` acts on them).
   obs::WorkloadProfile Profile() const { return profiler_.Snapshot(); }
-
-  // Cumulative traversal counters over all facade queries — the statistics
-  // feed for the paper's self-tuning idea (Section 7).
-  QueryStats CumulativeQueryStats() const EXCLUDES(stats_mutex_);
 
   // Verifies the built framework: the global-node mapping and the meta
   // documents' global_nodes lists must be exact inverses (every element in
@@ -183,29 +177,16 @@ class Flix {
   // oracle, metrics — lives in check::ValidateFramework (src/check/).
   Status Validate(const index::ValidateOptions& options = {}) const;
 
-  // Publishes this instance's state (build shape, cache stats, facade query
-  // totals) as gauges into the process-wide registry and returns a combined
+  // Publishes this instance's state (build shape, cache stats, landmark
+  // count) as gauges into the process-wide registry and returns a combined
   // snapshot of everything recorded so far — build phase timings, PEE query
   // latency histograms and traversal counters included. Export with
   // obs::ToJson / obs::ToText.
-  obs::MetricsSnapshot MetricsSnapshot() const EXCLUDES(stats_mutex_);
-
-  struct TuningAdvice {
-    bool rebuild_recommended = false;
-    double links_per_query = 0;
-    std::string reason;
-  };
-  // Flags a suboptimal meta-document choice: when queries follow many links
-  // at run time, the build phase should be repeated with coarser meta
-  // documents (larger partition bound or a more HOPI-leaning config).
-  TuningAdvice RecommendReconfiguration(double max_links_per_query = 16) const
-      EXCLUDES(stats_mutex_);
+  obs::MetricsSnapshot MetricsSnapshot() const;
 
  private:
   Flix(const xml::Collection& collection, FlixOptions options)
       : collection_(collection), options_(options) {}
-
-  void AccumulateStats(const QueryStats& stats) const EXCLUDES(stats_mutex_);
 
   // Writes the index file to `path` (flix_paged.cc); Save wraps it in a
   // temporary file and a rename.
@@ -224,13 +205,6 @@ class Flix {
   std::unique_ptr<PathExpressionEvaluator> pee_;
   std::unique_ptr<QueryCache> cache_;
   FlixStats stats_;
-
-  // Engine rank: MetricsSnapshot() holds it while reading metrics-rank
-  // registry gauges, which the hierarchy permits (engine precedes metrics).
-  mutable Mutex stats_mutex_ ACQUIRED_AFTER(lockorder::kEngine)
-      ACQUIRED_BEFORE(lockorder::kPartitionHandle);
-  mutable QueryStats cumulative_stats_ GUARDED_BY(stats_mutex_);
-  mutable size_t num_queries_ GUARDED_BY(stats_mutex_) = 0;
 };
 
 }  // namespace flix::core

@@ -137,11 +137,12 @@ Status Flix::SavePaged(const std::string& path) const {
   sb.query_cache_capacity = options_.query_cache_capacity;
   sb.num_cross_links = set_.num_cross_links;
   // Snapshot (not Acquire): a cache disabled at run time still persists.
-  const std::shared_ptr<const LandmarkCache> landmarks =
-      set_.landmarks.Snapshot();
+  const LandmarkCache* landmarks = set_.landmarks.Snapshot();
   const bool has_landmarks = landmarks != nullptr && !landmarks->empty();
   sb.landmark_count_plus_one = options_.landmark_count + 1;
-  sb.landmark_generation = has_landmarks ? landmarks->generation() : 0;
+  // Retired rebuild generation: 1 marks "a kLandmarks segment follows", as
+  // every fresh build wrote it; loaders ignore the value.
+  sb.landmark_generation = has_landmarks ? 1 : 0;
 
   StatusOr<storage::PagedFileWriter> writer =
       storage::PagedFileWriter::Create(path, sb);
@@ -373,7 +374,7 @@ StatusOr<std::unique_ptr<Flix>> Flix::Load(const std::string& path,
       return LandmarkCache::FromSegment(*view, sb.num_elements);
     }();
     if (cache.ok()) {
-      set.landmarks.Replace(
+      set.landmarks.Set(
           std::make_shared<const LandmarkCache>(std::move(cache).value()));
     } else {
       std::fprintf(stderr,

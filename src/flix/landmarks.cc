@@ -8,9 +8,6 @@
 
 #include "common/rng.h"
 #include "graph/traversal.h"
-#include "obs/metrics.h"
-#include "obs/names.h"
-#include "xml/collection.h"
 
 namespace flix::core {
 namespace {
@@ -19,7 +16,10 @@ namespace {
 constexpr uint32_t kArrayLandmarkNodes = 1;  // NodeId per landmark
 constexpr uint32_t kArrayToLandmark = 2;     // uint16 [n * k + l]
 constexpr uint32_t kArrayFromLandmark = 3;   // uint16 [n * k + l]
-constexpr uint32_t kArrayMeta = 4;           // uint64 [nodes, k, generation]
+// uint64 [nodes, k, 1]. The third slot once held a rebuild generation; it
+// stays in the layout so files written before and after read alike, and
+// its value is ignored on load.
+constexpr uint32_t kArrayMeta = 4;
 
 constexpr uint32_t kNoPartition = std::numeric_limits<uint32_t>::max();
 
@@ -145,8 +145,7 @@ void LandmarkCache::AppendArrays(storage::SegmentWriter& writer) const {
   writer.Add(kArrayLandmarkNodes, landmarks_.span());
   writer.Add(kArrayToLandmark, to_land_.span());
   writer.Add(kArrayFromLandmark, from_land_.span());
-  const std::vector<uint64_t> meta = {num_nodes_, landmarks_.size(),
-                                      generation_};
+  const std::vector<uint64_t> meta = {num_nodes_, landmarks_.size(), 1};
   writer.Add(kArrayMeta, meta);
 }
 
@@ -180,7 +179,6 @@ StatusOr<LandmarkCache> LandmarkCache::FromSegment(
   }
   LandmarkCache cache;
   cache.num_nodes_ = num_nodes;
-  cache.generation_ = (*meta)[2];
   cache.landmarks_ = storage::FlatVec<NodeId>::FromView(*nodes);
   cache.to_land_ = storage::FlatVec<uint16_t>::FromView(*to);
   cache.from_land_ = storage::FlatVec<uint16_t>::FromView(*from);
@@ -229,63 +227,6 @@ Status LandmarkCache::Validate(const graph::Digraph& graph,
     }
   }
   return Status::Ok();
-}
-
-LandmarkRefresher::LandmarkRefresher(const xml::Collection& collection,
-                                     MetaDocumentSet& set)
-    : LandmarkRefresher(collection, set, Options()) {}
-
-LandmarkRefresher::LandmarkRefresher(const xml::Collection& collection,
-                                     MetaDocumentSet& set, Options options)
-    : collection_(collection), set_(set), options_(std::move(options)) {}
-
-LandmarkRefresher::~LandmarkRefresher() { Stop(); }
-
-size_t LandmarkRefresher::RunOnce() {
-  const graph::Digraph graph = collection_.BuildGraph();
-  LandmarkCache next = LandmarkCache::Build(graph, set_, options_.landmark_count);
-  const std::shared_ptr<const LandmarkCache> old = set_.landmarks.Snapshot();
-  next.set_generation((old != nullptr ? old->generation() : 0) + 1);
-  if (options_.replacement_hook) options_.replacement_hook(next);
-  const size_t stale =
-      set_.landmarks.Replace(std::make_shared<const LandmarkCache>(std::move(next)));
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter(obs::names::kLandmarksRefreshes).Increment();
-  reg.GetCounter(obs::names::kGuidedStaleReads).Add(stale);
-  return stale;
-}
-
-void LandmarkRefresher::Start(std::chrono::milliseconds interval) {
-  Stop();
-  {
-    MutexLock lock(mutex_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this, interval] {
-    for (;;) {
-      {
-        // Sleep until the next tick or a Stop(); spurious wakeups re-check
-        // the deadline.
-        MutexLock lock(mutex_);
-        const auto deadline = std::chrono::steady_clock::now() + interval;
-        while (!stop_ && std::chrono::steady_clock::now() < deadline) {
-          cv_.WaitUntil(mutex_, deadline);
-        }
-        if (stop_) return;
-      }
-      // Outside mutex_: a rebuild takes the landmark-handle lock to publish.
-      (void)RunOnce();
-    }
-  });
-}
-
-void LandmarkRefresher::Stop() {
-  {
-    MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace flix::core

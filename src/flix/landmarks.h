@@ -31,28 +31,19 @@
 #define FLIX_FLIX_LANDMARKS_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
-#include <thread>
 
 #include "common/status.h"
-#include "common/sync.h"
 #include "common/types.h"
 #include "flix/meta_document.h"
 #include "graph/digraph.h"
 #include "storage/flat.h"
 #include "storage/segment.h"
 
-namespace flix::xml {
-class Collection;
-}  // namespace flix::xml
-
 namespace flix::core {
 
-// Immutable once built; queries share it through LandmarkHandle snapshots.
+// Immutable once built; queries read it through MetaDocumentSet::landmarks.
 class LandmarkCache {
  public:
   // Distances are stored as uint16 (4 bytes per node per landmark for both
@@ -77,11 +68,6 @@ class LandmarkCache {
   size_t num_landmarks() const { return landmarks_.size(); }
   size_t num_nodes() const { return num_nodes_; }
   std::span<const NodeId> landmarks() const { return landmarks_.span(); }
-
-  // Monotonic rebuild counter; the refresher bumps it on every swap so
-  // `flixctl info` / stats can report cache staleness.
-  uint64_t generation() const { return generation_; }
-  void set_generation(uint64_t generation) { generation_ = generation; }
 
   bool Covers(NodeId n) const { return static_cast<size_t>(n) < num_nodes_; }
 
@@ -158,53 +144,6 @@ class LandmarkCache {
   storage::FlatVec<uint16_t> to_land_;     // [n * k + l] = d(n -> landmark l)
   storage::FlatVec<uint16_t> from_land_;   // [n * k + l] = d(landmark l -> n)
   size_t num_nodes_ = 0;
-  uint64_t generation_ = 1;
-};
-
-// Rebuilds the landmark cache off the query path and publishes it through
-// MetaDocumentSet::landmarks — the same shape as adapt.h's StrategyMigrator:
-// RunOnce() for a single synchronous refresh, Start(interval)/Stop() for a
-// background cadence. Queries racing a swap finish on the displaced cache
-// (stale but still admissible for the unchanged graph); the swap reports how
-// many such readers were in flight via flix.pee.guided.stale_reads.
-class LandmarkRefresher {
- public:
-  struct Options {
-    size_t landmark_count = 16;
-    // Test-only: runs on the freshly built cache before it is published
-    // (e.g. to corrupt it and exercise the validation paths).
-    std::function<void(LandmarkCache&)> replacement_hook;
-  };
-
-  // References must outlive the refresher; Stop() is implied by destruction.
-  LandmarkRefresher(const xml::Collection& collection, MetaDocumentSet& set);
-  LandmarkRefresher(const xml::Collection& collection, MetaDocumentSet& set,
-                    Options options);
-  ~LandmarkRefresher();
-
-  LandmarkRefresher(const LandmarkRefresher&) = delete;
-  LandmarkRefresher& operator=(const LandmarkRefresher&) = delete;
-
-  // One synchronous rebuild + swap; returns the number of in-flight queries
-  // that still held the displaced cache (also added to stale_reads).
-  size_t RunOnce();
-
-  // Starts/stops the background refresh thread.
-  void Start(std::chrono::milliseconds interval) EXCLUDES(mutex_);
-  void Stop() EXCLUDES(mutex_);
-
- private:
-  const xml::Collection& collection_;
-  MetaDocumentSet& set_;
-  const Options options_;
-
-  // Engine rank: held only around the stop flag and the wakeup wait —
-  // never across RunOnce, which takes the landmark-handle lock itself.
-  Mutex mutex_ ACQUIRED_AFTER(lockorder::kEngine)
-      ACQUIRED_BEFORE(lockorder::kPartitionHandle);
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mutex_) = false;
-  std::thread thread_;
 };
 
 }  // namespace flix::core

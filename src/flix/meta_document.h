@@ -107,16 +107,13 @@ class IndexHandle {
   std::shared_ptr<index::PathIndex> index_ GUARDED_BY(lock_);
 };
 
-// A refcounted, swappable handle to the framework-wide ALT landmark cache
-// (src/flix/landmarks.h), with the same spinlock-around-shared_ptr shape as
-// IndexHandle: point queries take Acquire() snapshots, the background
-// LandmarkRefresher publishes rebuilt caches through Replace() without
-// disturbing snapshots already handed out. A displaced cache stays valid
-// (merely stale) for the queries still holding it — the heuristic it serves
-// is admissible for the graph it was built from, which never changes under
-// a refresh, so stale reads are counted but never wrong.
+// The framework-wide ALT landmark cache (src/flix/landmarks.h). Only the
+// single-writer phases install it: Build, Load, and an offline
+// Flix::RebuildLandmarks (`flixctl landmarks --refresh`). Nothing else ever
+// changes the graph or the partitioning it was computed from, so queries
+// read it through a plain pointer — no lock, no refcount.
 //
-// The handle additionally carries the runtime enable switch (`flixctl
+// The handle also carries the runtime enable switch (`flixctl
 // --no-landmarks`, the differential tests): when disabled, Acquire()
 // returns null and the PEE falls back to the blind Dijkstra; Snapshot()
 // ignores the switch for save/stats/validation paths.
@@ -127,61 +124,39 @@ class LandmarkHandle {
   LandmarkHandle() = default;
   LandmarkHandle(const LandmarkHandle&) = delete;
   LandmarkHandle& operator=(const LandmarkHandle&) = delete;
-  // SAFETY: moves happen only while the MDB output is assembled
-  // (single-threaded), never concurrently with Acquire/Replace, so reading
-  // `other.cache_` without `other.lock_` cannot race.
-  LandmarkHandle(LandmarkHandle&& other) noexcept NO_THREAD_SAFETY_ANALYSIS
+  LandmarkHandle(LandmarkHandle&& other) noexcept
       : enabled_(other.enabled_.load(std::memory_order_relaxed)),
         cache_(std::move(other.cache_)) {}
-  // SAFETY: same single-threaded assembly contract as the move ctor.
-  LandmarkHandle& operator=(LandmarkHandle&& other) noexcept
-      NO_THREAD_SAFETY_ANALYSIS {
+  LandmarkHandle& operator=(LandmarkHandle&& other) noexcept {
     enabled_.store(other.enabled_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
     cache_ = std::move(other.cache_);
     return *this;
   }
 
-  // Query-path snapshot: null when no cache is installed or the switch is
-  // off. Callers must also check LandmarkCache::empty().
-  std::shared_ptr<const LandmarkCache> Acquire() const EXCLUDES(lock_) {
-    if (!enabled_.load(std::memory_order_relaxed)) return nullptr;
-    return Snapshot();
+  // Query-path view: null when no cache is installed or the switch is off.
+  // Callers must also check LandmarkCache::empty().
+  const LandmarkCache* Acquire() const {
+    return enabled_.load(std::memory_order_relaxed) ? cache_.get() : nullptr;
   }
 
-  // Unconditional snapshot (persistence, stats, validation).
-  std::shared_ptr<const LandmarkCache> Snapshot() const EXCLUDES(lock_) {
-    std::shared_ptr<const LandmarkCache> snapshot;
-    {
-      SpinLockHolder hold(lock_);
-      snapshot = cache_;
-    }
-    return snapshot;
-  }
+  // Unconditional view (persistence, stats, validation).
+  const LandmarkCache* Snapshot() const { return cache_.get(); }
 
-  // Publishes `next` as the current cache and returns how many in-flight
-  // queries still hold the displaced one (the stale-read count; the
-  // displaced cache itself is released outside the lock).
-  size_t Replace(std::shared_ptr<const LandmarkCache> next) EXCLUDES(lock_) {
-    {
-      SpinLockHolder hold(lock_);
-      cache_.swap(next);
-    }
-    if (next == nullptr) return 0;
-    const long readers = next.use_count() - 1;  // minus our own reference
-    return readers > 0 ? static_cast<size_t>(readers) : 0;
+  // Installs `cache`; single-writer phases only (see the class comment).
+  void Set(std::shared_ptr<const LandmarkCache> cache) {
+    cache_ = std::move(cache);
   }
 
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
  private:
-  mutable SpinLock lock_ ACQUIRED_AFTER(lockorder::kPartitionHandle)
-      ACQUIRED_BEFORE(lockorder::kCache);
   std::atomic<bool> enabled_{true};
-  std::shared_ptr<const LandmarkCache> cache_ GUARDED_BY(lock_);
+  // shared_ptr for its type-erased deleter: LandmarkCache is incomplete
+  // here (landmarks.h includes this header).
+  std::shared_ptr<const LandmarkCache> cache_;
 };
 
 class MetaDocument {
@@ -241,8 +216,7 @@ struct MetaDocumentSet {
   // Total number of cross (meta-document-spanning or unindexed) links.
   size_t num_cross_links = 0;
   // Framework-wide ALT landmark cache (flix/landmarks.h); null until built
-  // or loaded. The PEE snapshots it per point query, so a background
-  // refresh can swap it mid-stream without stalling readers.
+  // or loaded, fixed while queries run.
   LandmarkHandle landmarks;
 };
 

@@ -614,13 +614,9 @@ Distance PathExpressionEvaluator::PointQuery(NodeId a, NodeId b,
   const uint32_t target_meta = set_.meta_of_node[b];
   const NodeId target_local = set_.local_of_node[b];
 
-  // ALT guidance: snapshot the landmark cache once per query (null when
-  // disabled or never built). A concurrent refresh may leave this snapshot
-  // a generation behind — still admissible, because the element graph the
-  // distances were measured on does not change; the refresher just picks
-  // better landmarks for the current partitioning.
-  const std::shared_ptr<const LandmarkCache> landmarks =
-      set_.landmarks.Acquire();
+  // ALT guidance (null when disabled or never built). The cache is fixed
+  // while queries run, so a plain pointer read suffices.
+  const LandmarkCache* landmarks = set_.landmarks.Acquire();
   const bool guided = landmarks != nullptr && !landmarks->empty() &&
                       landmarks->Covers(a) && landmarks->Covers(b);
   LandmarkCache::GoalView goal;
@@ -743,8 +739,7 @@ bool PathExpressionEvaluator::IsConnectedBidirectional(
   // LandmarkCache::ProvablyUnreachable) settles the question before either
   // frontier expands. No heuristic steering beyond this — the bidirectional
   // walk has no single goal to aim at.
-  if (const std::shared_ptr<const LandmarkCache> landmarks =
-          set_.landmarks.Acquire();
+  if (const LandmarkCache* landmarks = set_.landmarks.Acquire();
       landmarks != nullptr && !landmarks->empty() && landmarks->Covers(a) &&
       landmarks->Covers(b) &&
       landmarks->ProvablyUnreachable(a, landmarks->Goal(b))) {

@@ -43,7 +43,6 @@ inline constexpr char kLoadTotalNs[] = "flix.load.total_ns";
 
 // --- PEE queries (flix/pee.cc) --------------------------------------------
 inline constexpr char kQueryCount[] = "flix.query.count";
-inline constexpr char kQueryFacadeCount[] = "flix.query.facade_count";
 inline constexpr char kQueryLatencyNs[] = "flix.query.latency_ns";
 inline constexpr char kQueryResults[] = "flix.query.results";
 inline constexpr char kQueryEntriesProcessed[] = "flix.query.entries_processed";
@@ -60,13 +59,10 @@ inline constexpr char kQueryPointCount[] = "flix.query.point_count";
 inline constexpr char kQueryPointPops[] = "flix.query.point_pops";
 inline constexpr char kQueryPointLatencyNs[] = "flix.query.point_latency_ns";
 
-// --- Landmark-guided point queries (flix/pee.cc, flix/landmarks.cc) -------
+// --- Landmark-guided point queries (flix/pee.cc, flix/flix.cc) ------------
 inline constexpr char kGuidedPrunedEntries[] = "flix.pee.guided.pruned_entries";
 inline constexpr char kGuidedHeuristicHits[] = "flix.pee.guided.heuristic_hits";
-inline constexpr char kGuidedStaleReads[] = "flix.pee.guided.stale_reads";
-inline constexpr char kLandmarksRefreshes[] = "flix.landmarks.refreshes";
 inline constexpr char kLandmarksCount[] = "flix.landmarks.count";
-inline constexpr char kLandmarksGeneration[] = "flix.landmarks.generation";
 
 // --- Per-strategy cursor pulls (src/index/*.cc) ---------------------------
 inline constexpr char kCursorPulledPpo[] = "flix.cursor.pulled.ppo";
@@ -100,7 +96,6 @@ inline constexpr char kSpanBuildMdb[] = "flix.build.mdb";
 inline constexpr char kSpanBuildLandmarks[] = "flix.build.landmarks";
 inline constexpr char kSpanIss[] = "flix.iss";
 inline constexpr char kSpanIb[] = "flix.ib";
-inline constexpr char kSpanLandmarksRebuild[] = "flix.landmarks.rebuild";
 
 }  // namespace flix::obs::names
 

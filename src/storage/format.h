@@ -116,8 +116,9 @@ struct Superblock {
   // ALT landmark cache identity, carved out of the former reserved[4]
   // (zeros in pre-landmark files, so kPagedVersion is unchanged):
   // landmark_count + 1 as configured (0 = written before landmarks existed;
-  // loaders then keep the FlixOptions default), and the generation of the
-  // persisted cache (0 = no kLandmarks segment was written).
+  // loaders then keep the FlixOptions default), and a non-zero value when a
+  // kLandmarks segment was written (0 = none). The second field once held a
+  // rebuild generation; writers now store 1 and loaders ignore it.
   uint64_t landmark_count_plus_one = 0;
   uint64_t landmark_generation = 0;
   uint64_t reserved[2] = {0, 0};

@@ -190,29 +190,6 @@ TEST(QueryStatsTest, CountersPopulated) {
   EXPECT_GT(stats.entries_dominated, 0u);
 }
 
-TEST(QueryStatsTest, CumulativeStatsAndTuningAdvice) {
-  const xml::Collection c = ChainedCollection();
-  FlixOptions options;
-  options.config = MdbConfig::kNaive;  // maximal link following
-  auto flix = Flix::Build(c, options);
-  ASSERT_TRUE(flix.ok());
-
-  EXPECT_FALSE((*flix)->RecommendReconfiguration().rebuild_recommended);
-
-  for (int i = 0; i < 5; ++i) {
-    (*flix)->FindDescendantsByName(c.GlobalId(0, 0), "b");
-  }
-  const QueryStats total = (*flix)->CumulativeQueryStats();
-  EXPECT_GT(total.links_followed, 0u);
-
-  // A tiny threshold must trigger the advice; a huge one must not.
-  const auto strict = (*flix)->RecommendReconfiguration(0.1);
-  EXPECT_TRUE(strict.rebuild_recommended);
-  EXPECT_GT(strict.links_per_query, 0.1);
-  EXPECT_FALSE(strict.reason.empty());
-  EXPECT_FALSE((*flix)->RecommendReconfiguration(1e9).rebuild_recommended);
-}
-
 TEST(QueryCacheTest, LruSemantics) {
   QueryCache cache(2);
   cache.Insert(1, 10, {{5, 1}});

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <cstddef>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
-#include <thread>
 
 #include "flix/flix.h"
-#include "flix/mdb.h"
 #include "graph/traversal.h"
+#include "storage/format.h"
+#include "storage/segment.h"
 #include "workload/synthetic_generator.h"
 #include "xml/collection.h"
 
@@ -117,8 +120,7 @@ TEST(LandmarkCacheTest, BoundsAreAdmissible) {
   const auto collection = workload::GenerateSynthetic({.seed = 77});
   ASSERT_TRUE(collection.ok());
   auto flix = MustBuild(*collection, MdbConfig::kHybrid, 60, 12);
-  const std::shared_ptr<const LandmarkCache> cache =
-      flix->meta_documents().landmarks.Snapshot();
+  const LandmarkCache* cache = flix->meta_documents().landmarks.Snapshot();
   ASSERT_NE(cache, nullptr);
   EXPECT_FALSE(cache->empty());
 
@@ -141,8 +143,7 @@ TEST(LandmarkCacheTest, ValidateCatchesFlippedDistance) {
   ASSERT_TRUE(collection.ok());
   const graph::Digraph g = collection->BuildGraph();
   auto flix = MustBuild(*collection, MdbConfig::kHybrid, 60, 4);
-  const std::shared_ptr<const LandmarkCache> cache =
-      flix->meta_documents().landmarks.Snapshot();
+  const LandmarkCache* cache = flix->meta_documents().landmarks.Snapshot();
   ASSERT_NE(cache, nullptr);
 
   storage::SegmentWriter seg;
@@ -188,7 +189,6 @@ TEST(LandmarkPersistenceTest, MappedRoundTrip) {
   const auto after = (*loaded)->meta_documents().landmarks.Snapshot();
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->num_landmarks(), before->num_landmarks());
-  EXPECT_EQ(after->generation(), before->generation());
   EXPECT_TRUE(after->Validate(collection->BuildGraph(), 32, 1).ok());
 
   // Same answers out of the mapped cache.
@@ -215,60 +215,119 @@ TEST(LandmarkLifecycleTest, CountZeroDisablesTheCache) {
   }
 }
 
-TEST(LandmarkLifecycleTest, RebuildBumpsGeneration) {
-  const auto collection = workload::GenerateSynthetic({.seed = 64});
-  ASSERT_TRUE(collection.ok());
-  auto flix = MustBuild(*collection, MdbConfig::kHybrid, 60, 8);
-  const uint64_t before =
-      flix->meta_documents().landmarks.Snapshot()->generation();
-  flix->RebuildLandmarks();
-  EXPECT_EQ(flix->meta_documents().landmarks.Snapshot()->generation(),
-            before + 1);
-}
-
-TEST(LandmarkRefresherTest, RunOnceAndBackgroundCadence) {
+// The offline rebuild behind `flixctl landmarks --count N`: the new count
+// reaches the cache, survives Save/Load, and answers stay exact.
+TEST(LandmarkLifecycleTest, RebuildSaveLoadKeepsTheNewCount) {
   const auto collection = workload::GenerateSynthetic({.seed = 65});
   ASSERT_TRUE(collection.ok());
+  auto flix = MustBuild(*collection, MdbConfig::kHybrid, 60, 8);
+  flix->RebuildLandmarks(6);
+  ASSERT_NE(flix->meta_documents().landmarks.Snapshot(), nullptr);
+  EXPECT_EQ(flix->meta_documents().landmarks.Snapshot()->num_landmarks(), 6u);
+
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "rebuilt.flix").string();
+  ASSERT_TRUE(flix->Save(path).ok());
+  auto loaded = Flix::Load(path, *collection);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->options().landmark_count, 6u);
+  const LandmarkCache* cache = (*loaded)->meta_documents().landmarks.Snapshot();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->num_landmarks(), 6u);
   const graph::Digraph g = collection->BuildGraph();
-  const std::vector<uint32_t> doc_of = collection->DocOfNode();
-  std::vector<NodeId> doc_roots(collection->NumDocuments());
-  for (DocId d = 0; d < collection->NumDocuments(); ++d) {
-    doc_roots[d] = collection->GlobalId(d, 0);
+  EXPECT_TRUE(cache->Validate(g, 16, 1).ok());
+  const graph::ReachabilityOracle oracle(g);
+  for (NodeId a = 0; a < g.NumNodes(); a += 43) {
+    for (NodeId b = 0; b < g.NumNodes(); b += 47) {
+      EXPECT_EQ((*loaded)->FindDistance(a, b), oracle.Distance(a, b));
+    }
   }
-  MdbInput input;
-  input.graph = &g;
-  input.doc_of = &doc_of;
-  input.doc_roots = &doc_roots;
-  FlixOptions options;
-  options.config = MdbConfig::kHybrid;
-  options.partition_bound = 60;
-  MetaDocumentSet set = BuildMetaDocuments(input, options);
-  ASSERT_EQ(set.landmarks.Snapshot(), nullptr);
 
-  size_t hook_calls = 0;
-  LandmarkRefresher::Options refresher_options;
-  refresher_options.landmark_count = 6;
-  refresher_options.replacement_hook = [&](LandmarkCache&) { ++hook_calls; };
-  LandmarkRefresher refresher(*collection, set, refresher_options);
+  // A count of 0 removes the cache, and the file then carries none.
+  flix->RebuildLandmarks(0);
+  EXPECT_EQ(flix->meta_documents().landmarks.Snapshot(), nullptr);
+  ASSERT_TRUE(flix->Save(path).ok());
+  auto blind = Flix::Load(path, *collection);
+  ASSERT_TRUE(blind.ok()) << blind.status().ToString();
+  EXPECT_EQ((*blind)->meta_documents().landmarks.Snapshot(), nullptr);
+}
 
-  EXPECT_EQ(refresher.RunOnce(), 0u);  // no readers in flight
-  ASSERT_NE(set.landmarks.Snapshot(), nullptr);
-  EXPECT_EQ(set.landmarks.Snapshot()->generation(), 1u);
-  EXPECT_EQ(set.landmarks.Snapshot()->num_landmarks(), 6u);
-  EXPECT_EQ(hook_calls, 1u);
+// Files whose landmark cache was refreshed by older builds carry a rebuild
+// generation above 1 in the superblock and in the segment's meta array.
+// That value is retired: such a file loads with its cache, and guided
+// answers equal blind ones.
+TEST(LandmarkPersistenceTest, FileWithOlderGenerationLoads) {
+  const auto collection = workload::GenerateSynthetic({.seed = 67});
+  ASSERT_TRUE(collection.ok());
+  auto original = MustBuild(*collection, MdbConfig::kHybrid, 60, 8);
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "generation.flix")
+          .string();
+  ASSERT_TRUE(original->Save(path).ok());
 
-  refresher.RunOnce();
-  EXPECT_EQ(set.landmarks.Snapshot()->generation(), 2u);
-
-  refresher.Start(std::chrono::milliseconds(1));
-  const uint64_t base = set.landmarks.Snapshot()->generation();
-  for (int i = 0; i < 200; ++i) {
-    if (set.landmarks.Snapshot()->generation() > base) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
   }
-  refresher.Stop();
-  EXPECT_GT(set.landmarks.Snapshot()->generation(), base);
-  EXPECT_TRUE(set.landmarks.Snapshot()->Validate(g, 16, 1).ok());
+  storage::Superblock sb;
+  std::memcpy(&sb, bytes.data(), sizeof(sb));
+  ASSERT_GT(sb.landmark_generation, 0u);
+  size_t rewritten = 0;
+  for (uint64_t i = 0; i < sb.segment_count; ++i) {
+    const size_t offset =
+        sb.segment_table_offset + i * sizeof(storage::SegmentEntry);
+    storage::SegmentEntry entry;
+    std::memcpy(&entry, bytes.data() + offset, sizeof(entry));
+    if (entry.kind != static_cast<uint32_t>(storage::SegmentKind::kLandmarks)) {
+      continue;
+    }
+    auto view = storage::SegmentView::Parse(
+        {reinterpret_cast<const std::byte*>(bytes.data() + entry.offset),
+         entry.length});
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    // Array 4 is the meta array [nodes, k, generation].
+    auto meta = view->GetArray<uint64_t>(4);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    ASSERT_EQ(meta->size(), 3u);
+    const uint64_t generation = 7;
+    std::memcpy(bytes.data() +
+                    (reinterpret_cast<const char*>(meta->data() + 2) -
+                     bytes.data()),
+                &generation, sizeof(generation));
+    entry.checksum =
+        storage::Fnv1a64(bytes.data() + entry.offset, entry.length);
+    std::memcpy(bytes.data() + offset, &entry, sizeof(entry));
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 1u) << "expected one landmark segment";
+  sb.landmark_generation = 7;
+  sb.segment_table_checksum = storage::Fnv1a64(
+      bytes.data() + sb.segment_table_offset,
+      sb.segment_count * sizeof(storage::SegmentEntry));
+  sb.checksum = storage::Fnv1a64(&sb, offsetof(storage::Superblock, checksum));
+  std::memcpy(bytes.data(), &sb, sizeof(sb));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto loaded = Flix::Load(path, *collection);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const LandmarkCache* cache = (*loaded)->meta_documents().landmarks.Snapshot();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->num_landmarks(),
+            original->meta_documents().landmarks.Snapshot()->num_landmarks());
+  const graph::Digraph g = collection->BuildGraph();
+  for (NodeId a = 0; a < g.NumNodes(); a += 37) {
+    for (NodeId b = 0; b < g.NumNodes(); b += 41) {
+      (*loaded)->SetLandmarksEnabled(false);
+      const Distance blind = (*loaded)->FindDistance(a, b);
+      (*loaded)->SetLandmarksEnabled(true);
+      EXPECT_EQ((*loaded)->FindDistance(a, b), blind) << a << "->" << b;
+    }
+  }
 }
 
 TEST(LandmarkSelectionTest, DeterministicAndSpread) {

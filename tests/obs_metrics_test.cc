@@ -396,11 +396,11 @@ TEST(QueryStatsTest, EvaluateTypeQueryPopulatesCounters) {
 
   const std::vector<Result> results = (*flix)->EvaluateTypeQuery("a", "b");
   EXPECT_FALSE(results.empty());
-  // The facade accumulated the per-query counters.
-  const QueryStats total = (*flix)->CumulativeQueryStats();
+  // The instance's profiler accumulated the per-query counters.
+  const obs::PartitionProfile total = (*flix)->Profile().Totals();
   EXPECT_GT(total.index_probes, 0u);
   EXPECT_GT(total.entries_processed, 0u);
-  EXPECT_GT(total.links_followed, 0u);
+  EXPECT_GT(total.entry_fanout, 0u);
 }
 
 TEST(QueryStatsTest, GlobalRegistrySeesQueries) {

@@ -212,8 +212,8 @@ TEST(ConcurrencyTest, ParallelQueriesAgreeWithSerialResults) {
   EXPECT_EQ(mismatches.load(), 0);
 
   // Statistics got accumulated from every thread without tearing.
-  const core::QueryStats stats = (*flix)->CumulativeQueryStats();
-  EXPECT_GE(stats.index_probes, 4u * 20u * starts.size());
+  EXPECT_GE((*flix)->Profile().Totals().index_probes,
+            4u * 20u * starts.size());
 }
 
 TEST(ConcurrencyTest, ParallelConnectionTests) {

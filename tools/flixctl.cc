@@ -162,8 +162,9 @@ int Usage() {
       "                   landmark cache against sampled BFS distances)\n"
       "  flixctl landmarks --collection FILE --index FILE\n"
       "                  [--refresh] [--count N] [--validate] [--sample N]\n"
-      "                  (inspect the ALT landmark cache; --refresh\n"
-      "                   rebuilds it and re-saves the index)\n"
+      "                  (inspect the ALT landmark cache; --refresh, or\n"
+      "                   --count N for N landmarks, rebuilds it offline\n"
+      "                   and re-saves the index)\n"
       "  flixctl query   --collection FILE --index FILE --start DOC[#ID]\n"
       "                  --tag NAME [--k N] [--max-distance D] [--exact]\n"
       "                  [--legacy]  (block mode: emit each entry's probes\n"
@@ -731,14 +732,13 @@ int CmdInfo(const Args& args) {
             << " cache=" << sb.query_cache_capacity << "\n";
   if (sb.landmark_count_plus_one > 1 && sb.landmark_generation > 0) {
     std::cout << "  landmarks: " << (sb.landmark_count_plus_one - 1)
-              << " configured, generation " << sb.landmark_generation
-              << " on disk (compare with the live generation from\n"
-              << "             'flixctl landmarks' to gauge staleness)\n";
+              << " configured, cache on disk ('flixctl landmarks' lists "
+                 "them)\n";
   } else {
     // Legacy pre-landmark file (0), explicitly disabled (1), or configured
     // but never built — point queries run blind either way.
     std::cout << "  landmarks: none (point queries run blind; build with "
-                 "'flixctl landmarks --refresh')\n";
+                 "'flixctl landmarks --count N')\n";
   }
   std::cout << "  segments:\n";
   for (const storage::SegmentEntry& entry : reader->segments()) {
@@ -769,9 +769,9 @@ int CmdInfo(const Args& args) {
 }
 
 // `flixctl landmarks`: inspect or rebuild the ALT landmark cache that
-// accelerates point queries (flix/landmarks.h). Default prints the live
-// cache; --refresh rebuilds it and re-saves the index, --count N changes
-// the landmark budget for that rebuild.
+// accelerates point queries (flix/landmarks.h). Default prints the loaded
+// cache; --refresh rebuilds it offline and re-saves the index, --count N
+// sets the landmark budget for that rebuild.
 int CmdLandmarks(const Args& args) {
   auto collection = LoadCollection(args);
   if (!collection.ok()) {
@@ -783,15 +783,12 @@ int CmdLandmarks(const Args& args) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
   }
-  if (args.Has("count")) {
-    (*flix)->SetLandmarkCount(args.GetSize("count", 16));
-  }
   if (args.Has("refresh") || args.Has("count")) {
     Stopwatch watch;
-    const size_t stale = (*flix)->RebuildLandmarks();
+    (*flix)->RebuildLandmarks(
+        args.GetSize("count", (*flix)->options().landmark_count));
     std::cout << "rebuilt landmark cache in "
-              << static_cast<int>(watch.ElapsedMillis()) << " ms (" << stale
-              << " in-flight queries finished on the displaced cache)\n";
+              << static_cast<int>(watch.ElapsedMillis()) << " ms\n";
     if (Status status = (*flix)->Save(args.Get("index")); !status.ok()) {
       std::cerr << "re-saving index failed: " << status.ToString() << "\n";
       return 1;
@@ -799,18 +796,17 @@ int CmdLandmarks(const Args& args) {
     std::cout << "re-saved " << args.Get("index") << "\n";
   }
 
-  const std::shared_ptr<const core::LandmarkCache> cache =
+  const core::LandmarkCache* cache =
       (*flix)->meta_documents().landmarks.Snapshot();
   if (cache == nullptr || cache->empty()) {
     std::cout << "no landmark cache: point queries run blind\n"
               << "build one with: flixctl landmarks --collection ... "
-                 "--index ... --refresh [--count N]\n";
+                 "--index ... --count N\n";
     return 0;
   }
   std::cout << "landmarks: " << cache->num_landmarks() << " over "
-            << cache->num_nodes() << " elements, generation "
-            << cache->generation() << ", " << FormatBytes(cache->MemoryBytes())
-            << "\n";
+            << cache->num_nodes() << " elements, "
+            << FormatBytes(cache->MemoryBytes()) << "\n";
   const core::MetaDocumentSet& set = (*flix)->meta_documents();
   for (const NodeId l : cache->landmarks()) {
     const auto loc = collection->Locate(l);
